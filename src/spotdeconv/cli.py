@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codec
 from .detection import detect
-from .evaluation import best_threshold, threshold_sweep
+from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
 from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, generate_scene, render_observation
@@ -206,8 +206,14 @@ def run_solve(cfg, d_obs, trace_path=None):
     return result
 
 
+def _check_tol(tol):
+    if not np.isfinite(tol) or tol < 0:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
+
+
 def run_evaluate(dets, gt, tol, report_path, sweep_path):
-    report = best_threshold(dets, gt, tol)
+    sweep = threshold_sweep(dets, gt, tol)
+    report = best_report(sweep)
     with open(report_path, "w") as fh:
         json.dump(
             {
@@ -226,7 +232,7 @@ def run_evaluate(dets, gt, tol, report_path, sweep_path):
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "TP", "FP", "FN", "precision", "recall", "f1"])
-        for rep in threshold_sweep(dets, gt, tol):
+        for rep in sweep:
             writer.writerow(
                 [repr(rep.threshold), rep.tp, rep.fp, rep.fn,
                  repr(rep.precision), repr(rep.recall), repr(rep.f1)]
@@ -263,6 +269,7 @@ def _cmd_detect(args):
 
 
 def _cmd_evaluate(args):
+    _check_tol(args.tol)
     dets = codec.read_detections_csv(args.detections)
     gt = codec.read_ground_truth_csv(args.ground_truth)
     sweep = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
@@ -274,6 +281,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_pipeline(args):
+    _check_tol(args.tol)
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir)
     d_obs, gt = run_synth(cfg, out_dir)

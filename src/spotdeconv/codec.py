@@ -90,18 +90,41 @@ def write_detections_csv(path, dets):
             writer.writerow([repr(d.row), repr(d.col), repr(d.pseudo_likelihood)])
 
 
-def read_detections_csv(path):
+def _read_table(path, header):
+    """Rows of a headed CSV table as lists of finite floats.
+
+    A wrong header, a row of the wrong width, or a value that is not a
+    finite number raises ValueError naming the file and line number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DETECTIONS_HEADER:
+        found = next(reader, None)
+        if found != header:
             raise ValueError(
-                f"{path}: expected header {','.join(DETECTIONS_HEADER)!r}, got {header}"
+                f"{path}: expected header {','.join(header)!r}, got {found}"
             )
-        return [
-            Detection(row=float(r), col=float(c), pseudo_likelihood=float(p))
-            for r, c, p in reader
-        ]
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value in {row}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{where}: non-finite value in {row}")
+            rows.append(values)
+    return rows
+
+
+def read_detections_csv(path):
+    return [
+        Detection(row=r, col=c, pseudo_likelihood=p)
+        for r, c, p in _read_table(path, DETECTIONS_HEADER)
+    ]
 
 
 def write_ground_truth_csv(path, gt):
@@ -113,11 +136,4 @@ def write_ground_truth_csv(path, gt):
 
 
 def read_ground_truth_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GROUND_TRUTH_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(GROUND_TRUTH_HEADER)!r}, got {header}"
-            )
-        return [(float(r), float(c)) for r, c in reader]
+    return [(r, c) for r, c in _read_table(path, GROUND_TRUTH_HEADER)]

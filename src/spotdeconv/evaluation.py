@@ -1,9 +1,14 @@
 """Greedy detection/ground-truth matching and F1-based threshold selection.
 
-Detections are matched in decreasing pseudo-likelihood order, each to its
-nearest unmatched ground-truth point within a Euclidean tolerance (default
-3 pixels). best_threshold sweeps every detection value plus +inf and keeps
-the report with maximal F1, breaking ties toward the largest threshold.
+Detections are scored in (-p, row, col) order whatever order the caller
+passes them in, each matched to its nearest unmatched ground-truth point
+within a Euclidean tolerance (default 3 pixels). best_threshold sweeps every
+detection value plus +inf and keeps the report with maximal F1, breaking
+ties toward the largest threshold.
+
+Greedy matching in that order is prefix-stable: lowering the threshold only
+appends detections, and earlier matches never change. So the whole sweep is
+one matching pass that emits a report after each run of equal p.
 """
 
 from dataclasses import dataclass
@@ -22,31 +27,41 @@ class EvalReport:
     f1: float
 
 
+def _greedy_pass(dets, gt, tol):
+    """Match detections in (-p, row, col) order; returns (index, gt index or
+    None) pairs in that order, indices into the caller's lists.
+
+    Each detection takes the nearest unmatched ground-truth point within
+    tol; distance ties go to the lower ground-truth index.
+    """
+    order = sorted(
+        range(len(dets)),
+        key=lambda i: (-dets[i].pseudo_likelihood, dets[i].row, dets[i].col),
+    )
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+    unmatched = np.ones(len(gt), dtype=bool)
+    steps = []
+    for di in order:
+        d = dets[di]
+        dist = np.hypot(d.row - gt[:, 0], d.col - gt[:, 1])
+        candidates = np.flatnonzero(unmatched & (dist <= tol))
+        best = None
+        if len(candidates):
+            best = int(candidates[np.argmin(dist[candidates])])
+            unmatched[best] = False
+        steps.append((di, best))
+    return steps
+
+
 def match(dets, gt, tol=3.0):
     """Greedy matching; returns (TP, FP, FN, pairing).
 
-    pairing maps detection index -> ground-truth index for each true
-    positive. Distance ties are broken by ground-truth index ascending.
+    pairing maps detection index (into dets as passed) -> ground-truth
+    index for each true positive.
     """
-    gt = [(float(r), float(c)) for r, c in gt]
-    matched = [False] * len(gt)
-    pairing = {}
-    for di, d in enumerate(dets):
-        best = None
-        best_dist = None
-        for gi, (gr, gc) in enumerate(gt):
-            if matched[gi]:
-                continue
-            dist = np.hypot(d.row - gr, d.col - gc)
-            if dist <= tol and (best_dist is None or dist < best_dist):
-                best, best_dist = gi, dist
-        if best is not None:
-            matched[best] = True
-            pairing[di] = best
+    pairing = {di: gi for di, gi in _greedy_pass(dets, gt, tol) if gi is not None}
     tp = len(pairing)
-    fp = len(dets) - tp
-    fn = len(gt) - tp
-    return tp, fp, fn, pairing
+    return tp, len(dets) - tp, len(gt) - tp, pairing
 
 
 def prf1(tp, fp, fn):
@@ -61,9 +76,7 @@ def prf1(tp, fp, fn):
     return precision, recall, f1
 
 
-def evaluate_at(dets, gt, threshold, tol=3.0):
-    kept = [d for d in dets if d.pseudo_likelihood >= threshold]
-    tp, fp, fn, _ = match(kept, gt, tol)
+def _report(threshold, tp, fp, fn):
     precision, recall, f1 = prf1(tp, fp, fn)
     return EvalReport(
         threshold=threshold, tp=tp, fp=fp, fn=fn,
@@ -71,21 +84,34 @@ def evaluate_at(dets, gt, threshold, tol=3.0):
     )
 
 
+def evaluate_at(dets, gt, threshold, tol=3.0):
+    kept = [d for d in dets if d.pseudo_likelihood >= threshold]
+    tp, fp, fn, _ = match(kept, gt, tol)
+    return _report(threshold, tp, fp, fn)
+
+
 def threshold_sweep(dets, gt, tol=3.0):
     """One EvalReport per candidate threshold ({p_l} union {+inf}),
-    in descending threshold order."""
-    candidates = sorted({d.pseudo_likelihood for d in dets}, reverse=True)
-    reports = [evaluate_at(dets, gt, np.inf, tol)]
-    for thr in candidates:
-        reports.append(evaluate_at(dets, gt, thr, tol))
+    in descending threshold order, from a single matching pass."""
+    thresholds = [np.inf] + sorted({d.pseudo_likelihood for d in dets}, reverse=True)
+    steps = _greedy_pass(dets, gt, tol)
+    reports = []
+    tp = scored = 0
+    for thr in thresholds:
+        while scored < len(steps) and dets[steps[scored][0]].pseudo_likelihood >= thr:
+            tp += steps[scored][1] is not None
+            scored += 1
+        reports.append(_report(thr, tp, scored - tp, len(gt) - tp))
     return reports
+
+
+def best_report(sweep):
+    """Report with the best F1 in a sweep; ties keep the largest threshold
+    (fewest detections), i.e. the earliest report."""
+    return max(sweep, key=lambda report: report.f1)
 
 
 def best_threshold(dets, gt, tol=3.0):
     """Report with the best F1 across the sweep; ties keep the largest
     threshold (fewest detections)."""
-    best = None
-    for report in threshold_sweep(dets, gt, tol):
-        if best is None or report.f1 > best.f1:
-            best = report
-    return best
+    return best_report(threshold_sweep(dets, gt, tol))

@@ -2,25 +2,30 @@
 
 These deliberately avoid the library's separable/vectorized code paths:
 dense nested-loop convolution, an explicitly constructed operator matrix,
-a scalar-by-scalar objective, and grid/ternary minimizers.
+a scalar-by-scalar objective, grid/ternary minimizers, and a threshold
+sweep that re-matches from scratch at every threshold.
 """
 
 import numpy as np
 
 
 def dense_conv2d(img, taps):
-    """Direct O(M*N*(2R+1)^2) zero-padded convolution with taps x taps."""
+    """Direct O(M*N*(2R+1)^2) zero-padded convolution with taps x taps.
+
+    The u/v loops visit only the taps that land inside the image, in the
+    same ascending order as a full loop with a bounds check.
+    """
     radius = (len(taps) - 1) // 2
     rows, cols = img.shape
+    taps = [float(t) for t in taps]
+    pix = np.asarray(img).tolist()
     out = np.zeros_like(img, dtype=np.float64)
     for m in range(rows):
         for n in range(cols):
             acc = 0.0
-            for u in range(-radius, radius + 1):
-                for v in range(-radius, radius + 1):
-                    mm, nn = m - u, n - v
-                    if 0 <= mm < rows and 0 <= nn < cols:
-                        acc += taps[u + radius] * taps[v + radius] * img[mm, nn]
+            for u in range(max(-radius, m - rows + 1), min(radius, m) + 1):
+                for v in range(max(-radius, n - cols + 1), min(radius, n) + 1):
+                    acc += taps[u + radius] * taps[v + radius] * pix[m - u][n - v]
             out[m, n] = acc
     return out
 
@@ -134,3 +139,42 @@ def coordinate_descent_minimize(cost_of_vec, x0, upper, sweeps=20, points=21):
                     lo = m1
             x[i] = 0.5 * (lo + hi)
     return x, cost_of_vec(x)
+
+
+def reference_match(dets, gt, tol=3.0):
+    """Greedy matching in the order given; returns (TP, FP, FN, pairing).
+
+    Each detection takes the nearest unmatched ground-truth point within
+    tol (strict <, so distance ties keep the lower ground-truth index).
+    """
+    gt = [(float(r), float(c)) for r, c in gt]
+    matched = [False] * len(gt)
+    pairing = {}
+    for di, d in enumerate(dets):
+        best = None
+        best_dist = None
+        for gi, (gr, gc) in enumerate(gt):
+            if matched[gi]:
+                continue
+            dist = np.hypot(d.row - gr, d.col - gc)
+            if dist <= tol and (best_dist is None or dist < best_dist):
+                best, best_dist = gi, dist
+        if best is not None:
+            matched[best] = True
+            pairing[di] = best
+    tp = len(pairing)
+    return tp, len(dets) - tp, len(gt) - tp, pairing
+
+
+def reference_threshold_sweep(dets, gt, tol=3.0):
+    """(threshold, TP, FP, FN) per candidate threshold ({p_l} union {+inf}),
+    descending, each from a fresh reference_match of the detections with
+    p >= threshold taken in (-p, row, col) order."""
+    dets = sorted(dets, key=lambda d: (-d.pseudo_likelihood, d.row, d.col))
+    thresholds = [np.inf] + sorted({d.pseudo_likelihood for d in dets}, reverse=True)
+    rows = []
+    for thr in thresholds:
+        kept = [d for d in dets if d.pseudo_likelihood >= thr]
+        tp, fp, fn, _ = reference_match(kept, gt, tol)
+        rows.append((thr, tp, fp, fn))
+    return rows

@@ -145,3 +145,67 @@ def test_malformed_tensor_exit_code(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--obs", str(bad), "--out", str(tmp_path / "a.f64t")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_ignores_detection_row_order(tmp_path):
+    # With equal p, (0,-2) is scored before (0,1) and takes gt (0,0), which
+    # leaves (0,2.5) for (0,1); scored the other way round, (0,1) would
+    # take (0,0) and (0,-2) would match nothing.
+    lines = ["0.0,1.0,0.5", "0.0,-2.0,0.5", "5.0,5.0,0.25", "9.0,9.0,0.75"]
+    gt_path = tmp_path / "gt.csv"
+    codec.write_ground_truth_csv(gt_path, [(0.0, 0.0), (0.0, 2.5), (5.0, 6.0)])
+    outputs = []
+    for name, rows in [("given", lines), ("reversed", lines[::-1])]:
+        det_path = tmp_path / f"{name}.csv"
+        det_path.write_text("row,col,pseudo_likelihood\n" + "\n".join(rows) + "\n")
+        out = tmp_path / f"{name}_report.json"
+        assert main(["evaluate", "--detections", str(det_path),
+                     "--ground-truth", str(gt_path), "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{name}_report_sweep.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["TP"] == 3
+
+
+@pytest.mark.parametrize("which, body, message", [
+    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5\n3.0,4.0\n",
+     "line 3: expected 3 fields, got 2"),
+    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,nan\n",
+     "line 2: non-finite value"),
+    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5,7\n",
+     "line 2: expected 3 fields, got 4"),
+    ("detections", "row,col,pseudo_likelihood\n1.0,x,0.5\n",
+     "line 2: non-numeric value"),
+    ("ground_truth", "row,col\n1.0,2.0\ninf,2.0\n", "line 3: non-finite value"),
+    ("ground_truth", "row,col\n1.0\n", "line 2: expected 2 fields, got 1"),
+])
+def test_evaluate_rejects_bad_csv_rows(tmp_path, capsys, which, body, message):
+    paths = {"detections": tmp_path / "det.csv", "ground_truth": tmp_path / "gt.csv"}
+    codec.write_detections_csv(paths["detections"], [])
+    codec.write_ground_truth_csv(paths["ground_truth"], [(1.0, 1.0)])
+    paths[which].write_text(body)
+    rc = main([
+        "evaluate", "--detections", str(paths["detections"]),
+        "--ground-truth", str(paths["ground_truth"]), "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(paths[which]) in err and message in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exit_code(tmp_path, capsys, command, tol):
+    det_path, gt_path = tmp_path / "det.csv", tmp_path / "gt.csv"
+    codec.write_detections_csv(det_path, [])
+    codec.write_ground_truth_csv(gt_path, [(1.0, 1.0)])
+    if command == "evaluate":
+        argv = ["evaluate", "--detections", str(det_path), "--ground-truth", str(gt_path),
+                "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["pipeline", "--config", _write_config(tmp_path), "--out-dir", str(tmp_path / "p")]
+    rc = main(argv + ["--tol", tol])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err and "--tol" in err
+    assert not (tmp_path / "p").exists()

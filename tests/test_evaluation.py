@@ -133,3 +133,24 @@ def test_best_threshold_equals_enumeration():
         for rep in sweep:
             if rep.f1 == best.f1:
                 assert rep.threshold <= best.threshold
+
+
+def test_match_scores_in_likelihood_order_whatever_the_input_order():
+    # the 0.9 detection is scored first and takes the nearer gt point even
+    # though it comes second; pairing keys index the list as passed
+    dets = [_det(0, 1, 0.8), _det(0, 0, 0.9)]
+    gt = [(0.0, 0.0), (0.0, 2.0)]
+    assert match(dets, gt, tol=3.0) == (2, 0, 0, {1: 0, 0: 1})
+    assert evaluate_at(dets, gt, 0.85, tol=3.0).tp == 1
+
+
+def test_shuffled_detections_give_same_sweep_and_best():
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        dets = [_det(rng.integers(0, 6), rng.integers(0, 6), rng.choice([0.2, 0.5, 0.9]))
+                for _ in range(int(rng.integers(0, 12)))]
+        gt = [(float(rng.integers(0, 6)), float(rng.integers(0, 6)))
+              for _ in range(int(rng.integers(0, 6)))]
+        shuffled = [dets[i] for i in rng.permutation(len(dets))]
+        assert threshold_sweep(shuffled, gt, tol=3.0) == threshold_sweep(dets, gt, tol=3.0)
+        assert best_threshold(shuffled, gt, tol=3.0) == best_threshold(dets, gt, tol=3.0)

@@ -2,9 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotdeconv.evaluation import prf1
+from spotdeconv.detection import Detection
+from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.solver import prox_group
 from spotdeconv.tensors import group_norm_image, project_nonneg
+
+from oracles import reference_match, reference_threshold_sweep
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -48,3 +51,35 @@ def test_prox_group_norm_law(values, kappa):
     # shrinkage never flips sign or exceeds the input
     assert np.all(out >= 0)
     assert np.all(out <= v + 1e-12)
+
+
+# Integer grid positions and a few p values make tied likelihoods,
+# duplicate positions and equidistant ground truth common.
+grid = st.integers(min_value=0, max_value=6).map(float)
+detections = st.lists(
+    st.builds(Detection, row=grid, col=grid,
+              pseudo_likelihood=st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])),
+    max_size=12,
+)
+ground_truth = st.lists(st.tuples(grid, grid), max_size=6)
+tolerance = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300)
+@given(detections, ground_truth, tolerance)
+def test_one_pass_sweep_equals_reference(dets, gt, tol):
+    sweep = threshold_sweep(dets, gt, tol)
+    assert [(r.threshold, r.tp, r.fp, r.fn) for r in sweep] == \
+        reference_threshold_sweep(dets, gt, tol)
+    for r in sweep:
+        assert (r.precision, r.recall, r.f1) == prf1(r.tp, r.fp, r.fn)
+
+
+@settings(max_examples=300)
+@given(detections, ground_truth, tolerance)
+def test_match_equals_reference_in_scoring_order(dets, gt, tol):
+    order = sorted(range(len(dets)), key=lambda i: (
+        -dets[i].pseudo_likelihood, dets[i].row, dets[i].col))
+    tp, fp, fn, pairing = reference_match([dets[i] for i in order], gt, tol)
+    assert match(dets, gt, tol) == (
+        tp, fp, fn, {order[k]: gi for k, gi in pairing.items()})
