@@ -2,7 +2,7 @@
 images, with accelerated proximal gradient solving and spot detection."""
 
 from .convolution import adjoint, conv_same_2d, forward
-from .detection import Detection, detect, pseudo_likelihood_map, regional_maxima
+from .detection import Detection, detect, regional_maxima
 from .evaluation import EvalReport, best_threshold, match, prf1
 from .kernels import KernelBank, build_kernel_bank, make_scale_grid
 from .solver import SolveResult, SolverConfig, apg_solve, objective, prox_group, step_size
@@ -31,7 +31,6 @@ __all__ = [
     "prf1",
     "project_nonneg",
     "prox_group",
-    "pseudo_likelihood_map",
     "regional_maxima",
     "render_observation",
     "step_size",

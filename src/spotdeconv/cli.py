@@ -21,6 +21,7 @@ from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
 from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, generate_scene, render_observation
+from .tensors import as_volume
 
 
 class ConfigError(ValueError):
@@ -196,7 +197,10 @@ def run_solve(cfg, d_obs, trace_path=None):
         rel_tol=cfg.rel_tol,
         record_objective=trace_path is not None,
     )
-    result = apg_solve(d_obs, bank, solver_cfg)
+    # A diverging run overflows before apg_solve sees a non-finite iterate
+    # and raises; its FloatingPointError is the one diagnostic to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = apg_solve(d_obs, bank, solver_cfg)
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -261,8 +265,10 @@ def _cmd_solve(args):
 
 def _cmd_detect(args):
     a = codec.read_tensor(args.volume)
-    if a.ndim != 3:
-        raise ConfigError(f"volume {args.volume} must be 3-D, got ndim={a.ndim}")
+    try:
+        a = as_volume(a)
+    except ValueError as exc:
+        raise ConfigError(f"{args.volume}: {exc}")
     dets = detect(a)
     codec.write_detections_csv(args.out, dets)
     print(f"{len(dets)} detections written to {args.out}")
@@ -344,7 +350,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, codec.CodecError, ValueError, RuntimeError, OSError) as exc:
+    except (ConfigError, codec.CodecError, ValueError, RuntimeError, OSError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -5,16 +5,23 @@ regional maxima (8-connected plateaus of equal value strictly above every
 in-image neighbor) become detections. A multi-pixel plateau yields a single
 detection at its centroid. Zero-valued plateaus are background, never
 detections.
+
+Maxima are found in O(M*N) array passes: a 3x3 max filter marks the pixels
+that are >= every neighbor, 8-connected labelling groups them, a component
+is dropped when it touches an unmarked pixel of its own value (the rest of
+its plateau rises above it somewhere), and centroids come from bincount.
+The map must be finite; `spotdeconv detect` rejects a volume that is not.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .tensors import group_norm_image
 
 _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+_CONNECTIVITY = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -22,10 +29,6 @@ class Detection:
     row: float
     col: float
     pseudo_likelihood: float
-
-
-def pseudo_likelihood_map(a):
-    return group_norm_image(a)
 
 
 def regional_maxima(p):
@@ -38,47 +41,40 @@ def regional_maxima(p):
     """
     p = np.asarray(p, dtype=np.float64)
     m, n = p.shape
-    visited = np.zeros((m, n), dtype=bool)
-    detections = []
+    peak = ndimage.maximum_filter(p, size=3, mode="constant", cval=-np.inf)
+    # Adjacent candidates are each >= the other, so a component is flat.
+    candidate = (p >= peak) & (p > 0.0)
+    labels, count = ndimage.label(candidate, structure=_CONNECTIVITY)
 
-    for r0 in range(m):
-        for c0 in range(n):
-            if visited[r0, c0] or p[r0, c0] <= 0.0:
-                continue
-            value = p[r0, c0]
-            # flood-fill the equal-value plateau
-            plateau = []
-            is_max = True
-            queue = deque([(r0, c0)])
-            visited[r0, c0] = True
-            while queue:
-                r, c = queue.popleft()
-                plateau.append((r, c))
-                for dr, dc in _NEIGHBORS:
-                    rr, cc = r + dr, c + dc
-                    if not (0 <= rr < m and 0 <= cc < n):
-                        continue
-                    if p[rr, cc] == value:
-                        if not visited[rr, cc]:
-                            visited[rr, cc] = True
-                            queue.append((rr, cc))
-                    elif p[rr, cc] > value:
-                        is_max = False
-            if is_max:
-                rows = [rc[0] for rc in plateau]
-                cols = [rc[1] for rc in plateau]
-                detections.append(
-                    Detection(
-                        row=float(np.mean(rows)),
-                        col=float(np.mean(cols)),
-                        pseudo_likelihood=float(value),
-                    )
-                )
+    # A non-candidate neighbor of equal value is more of the same plateau,
+    # and it has a strictly greater neighbor: the plateau is no maximum.
+    padded = np.pad(p, 1, constant_values=np.nan)
+    padded_candidate = np.pad(candidate, 1)
+    spills = np.zeros_like(candidate)
+    for dr, dc in _NEIGHBORS:
+        window = (slice(1 + dr, m + 1 + dr), slice(1 + dc, n + 1 + dc))
+        spills |= (padded[window] == p) & ~padded_candidate[window]
 
-    detections.sort(key=lambda d: (-d.pseudo_likelihood, d.row, d.col))
-    return detections
+    # Per candidate pixel, in raster order: its component id 0..count-1.
+    ids = labels[candidate] - 1
+    rows, cols = np.nonzero(candidate)
+    sizes = np.bincount(ids)
+    # Integer coordinate sums are exact, so these equal np.mean per plateau.
+    row_c = np.bincount(ids, weights=rows) / sizes
+    col_c = np.bincount(ids, weights=cols) / sizes
+    value = np.empty(count)
+    value[ids] = p[candidate]
+    keep = np.ones(count, dtype=bool)
+    keep[ids[spills[candidate]]] = False
+
+    row_c, col_c, value = row_c[keep], col_c[keep], value[keep]
+    order = np.lexsort((col_c, row_c, -value))
+    return [
+        Detection(row=r, col=c, pseudo_likelihood=v)
+        for r, c, v in zip(row_c[order].tolist(), col_c[order].tolist(), value[order].tolist())
+    ]
 
 
 def detect(a):
     """Full detector: group-norm map, then regional maxima."""
-    return regional_maxima(pseudo_likelihood_map(a))
+    return regional_maxima(group_norm_image(a))

@@ -2,11 +2,16 @@
 
 These deliberately avoid the library's separable/vectorized code paths:
 dense nested-loop convolution, an explicitly constructed operator matrix,
-a scalar-by-scalar objective, grid/ternary minimizers, and a threshold
-sweep that re-matches from scratch at every threshold.
+a scalar-by-scalar objective, grid/ternary minimizers, a threshold
+sweep that re-matches from scratch at every threshold, and a per-pixel
+flood-fill regional-maxima detector.
 """
 
+from collections import deque
+
 import numpy as np
+
+from spotdeconv.detection import Detection
 
 
 def dense_conv2d(img, taps):
@@ -178,3 +183,56 @@ def reference_threshold_sweep(dets, gt, tol=3.0):
         tp, fp, fn, _ = reference_match(kept, gt, tol)
         rows.append((thr, tp, fp, fn))
     return rows
+
+
+_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def reference_regional_maxima(p):
+    """Regional maxima by breadth-first flood fill of every plateau.
+
+    Each plateau of equal value v > 0 is filled from its first pixel in
+    raster order; it is a maximum when no in-image neighbor exceeds v, and
+    then yields one detection at the mean of its pixel coordinates.
+    Sorted by (-p, row, col).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    m, n = p.shape
+    visited = np.zeros((m, n), dtype=bool)
+    detections = []
+
+    for r0 in range(m):
+        for c0 in range(n):
+            if visited[r0, c0] or p[r0, c0] <= 0.0:
+                continue
+            value = p[r0, c0]
+            plateau = []
+            is_max = True
+            queue = deque([(r0, c0)])
+            visited[r0, c0] = True
+            while queue:
+                r, c = queue.popleft()
+                plateau.append((r, c))
+                for dr, dc in _NEIGHBORS:
+                    rr, cc = r + dr, c + dc
+                    if not (0 <= rr < m and 0 <= cc < n):
+                        continue
+                    if p[rr, cc] == value:
+                        if not visited[rr, cc]:
+                            visited[rr, cc] = True
+                            queue.append((rr, cc))
+                    elif p[rr, cc] > value:
+                        is_max = False
+            if is_max:
+                rows = [rc[0] for rc in plateau]
+                cols = [rc[1] for rc in plateau]
+                detections.append(
+                    Detection(
+                        row=float(np.mean(rows)),
+                        col=float(np.mean(cols)),
+                        pseudo_likelihood=float(value),
+                    )
+                )
+
+    detections.sort(key=lambda d: (-d.pseudo_likelihood, d.row, d.col))
+    return detections

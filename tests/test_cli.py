@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -209,3 +210,30 @@ def test_bad_tolerance_exit_code(tmp_path, capsys, command, tol):
     assert rc == 1
     assert err.count("\n") == 1 and "Traceback" not in err and "--tol" in err
     assert not (tmp_path / "p").exists()
+
+
+def test_detect_rejects_non_finite_volume(tmp_path, capsys):
+    a = np.zeros((6, 6, 2))
+    a[2, 3, 1] = np.nan
+    volume, out = tmp_path / "a.f64t", tmp_path / "det.csv"
+    codec.write_tensor(volume, a)
+    rc = main(["detect", "--volume", str(volume), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(volume) in err and "non-finite" in err
+    assert not out.exists()
+
+
+def test_diverging_pipeline_exit_code(tmp_path, capsys):
+    # The paper's step size is outside FISTA's guarantee here and the
+    # iterate overflows; numpy's overflow warnings must not reach stderr.
+    cfg = _write_config(tmp_path, sigma_max=0.4, K=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: divergence: ")
+    assert caught == []

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from spotdeconv.detection import (
-    Detection,
-    detect,
-    pseudo_likelihood_map,
-    regional_maxima,
-)
+from spotdeconv.detection import Detection, detect, regional_maxima
+from spotdeconv.tensors import group_norm_image
 
 
 def test_map_single_slice_impulse():
     a = np.zeros((3, 3, 2))
     a[1, 1, 0] = 5.0
-    assert pseudo_likelihood_map(a)[1, 1] == pytest.approx(5.0)
+    assert group_norm_image(a)[1, 1] == pytest.approx(5.0)
 
 
 def test_map_colocated_slices():
     a = np.zeros((3, 3, 2))
     a[1, 1] = [3.0, 4.0]
-    assert pseudo_likelihood_map(a)[1, 1] == pytest.approx(5.0)
+    assert group_norm_image(a)[1, 1] == pytest.approx(5.0)
 
 
 def test_isolated_peak():
@@ -55,6 +51,13 @@ def test_diagonal_plateau_not_split():
     p[1, 1] = p[2, 2] = 4.0
     dets = regional_maxima(p)
     assert dets == [Detection(row=1.5, col=1.5, pseudo_likelihood=4.0)]
+
+
+def test_plateau_split_by_greater_pixel_excluded():
+    # The 3 leaves two candidate runs of 2s at either end of the top row;
+    # they are one plateau with a strictly greater neighbor, so no maximum.
+    p = np.array([[2, 2, 2, 2, 2], [0, 0, 3, 0, 0]], dtype=float)
+    assert regional_maxima(p) == [Detection(row=1.0, col=2.0, pseudo_likelihood=3.0)]
 
 
 def test_border_maximum_detected():

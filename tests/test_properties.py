@@ -1,13 +1,14 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from spotdeconv.detection import Detection
+from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.solver import prox_group
 from spotdeconv.tensors import group_norm_image, project_nonneg
 
-from oracles import reference_match, reference_threshold_sweep
+from oracles import reference_match, reference_regional_maxima, reference_threshold_sweep
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -83,3 +84,22 @@ def test_match_equals_reference_in_scoring_order(dets, gt, tol):
     tp, fp, fn, pairing = reference_match([dets[i] for i in order], gt, tol)
     assert match(dets, gt, tol) == (
         tp, fp, fn, {order[k]: gi for k, gi in pairing.items()})
+
+
+# Few levels make plateaus, ties and plateaus split by a higher pixel common.
+level_images = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+    elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+)
+
+
+@settings(max_examples=500)
+@given(level_images)
+@example(np.array([[2.0]]))
+@example(np.array([[0.0, 1.0, 1.0, 0.5, 2.0, 2.0]]))
+@example(np.array([[1.0], [3.0], [3.0], [0.0], [0.5]]))
+@example(np.zeros((4, 5)))
+@example(np.full((3, 4), 0.5))
+def test_regional_maxima_equals_reference(p):
+    assert regional_maxima(p) == reference_regional_maxima(p)
