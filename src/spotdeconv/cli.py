@@ -19,9 +19,9 @@ from . import codec
 from .detection import detect
 from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
-from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
+from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, objective
 from .synth import GENERATOR_NAME, SceneSpec, generate_scene, render_observation
-from .tensors import as_volume
+from .tensors import as_image, as_volume
 
 
 class ConfigError(ValueError):
@@ -91,6 +91,10 @@ def load_config(path):
     weights_uniform = float(weights["uniform"]) if "uniform" in weights else None
     weights_file = str(weights["file"]) if "file" in weights else None
 
+    max_iters = int(raw.get("max_iters", 5000))
+    if max_iters < 1:
+        raise ConfigError(f"config field 'max_iters' must be >= 1, got {max_iters}")
+
     momentum = str(raw.get("momentum", BECK)).lower()
     if momentum not in (BECK, CHAMBOLLE, NO_MOMENTUM):
         raise ConfigError(
@@ -108,7 +112,7 @@ def load_config(path):
         momentum=momentum,
         chambolle_a=float(raw.get("chambolle_a", 3.0)),
         rel_tol=float(raw.get("rel_tol", 1e-6)),
-        max_iters=int(raw.get("max_iters", 5000)),
+        max_iters=max_iters,
         seed=int(raw.get("seed", 0)),
         scene=raw.get("scene", {}),
     )
@@ -119,9 +123,18 @@ def _kernel_bank(cfg):
     return build_kernel_bank(grid, cfg.truncation)
 
 
+def _read_checked(path, check):
+    """Read a tensor file and validate it with `check`; a failure names the file."""
+    arr = codec.read_tensor(path)
+    try:
+        return check(arr)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _weights_image(cfg, shape):
     if cfg.weights_file is not None:
-        w = codec.read_tensor(cfg.weights_file)
+        w = _read_checked(cfg.weights_file, as_image)
         if w.shape != shape:
             raise ConfigError(
                 f"weights file shape {w.shape} does not match observation {shape}"
@@ -195,17 +208,22 @@ def run_solve(cfg, d_obs, trace_path=None):
         chambolle_a=cfg.chambolle_a,
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
-        record_objective=trace_path is not None,
     )
+    trace = []
+
+    def record(i, rel_change, a):
+        trace.append(objective(a, d_obs, weights, bank, cfg.lam))
+
     # A diverging run overflows before apg_solve sees a non-finite iterate
     # and raises; its FloatingPointError is the one diagnostic to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = apg_solve(d_obs, bank, solver_cfg)
+        result = apg_solve(d_obs, bank, solver_cfg,
+                           progress=None if trace_path is None else record)
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "objective"])
-            for i, obj in enumerate(result.objective_trace, start=1):
+            for i, obj in enumerate(trace, start=1):
                 writer.writerow([i, repr(obj)])
     return result
 
@@ -252,9 +270,7 @@ def _cmd_synth(args):
 
 def _cmd_solve(args):
     cfg = load_config(args.config)
-    d_obs = codec.read_tensor(args.obs)
-    if d_obs.ndim != 2:
-        raise ConfigError(f"observation {args.obs} must be 2-D, got ndim={d_obs.ndim}")
+    d_obs = _read_checked(args.obs, as_image)
     result = run_solve(cfg, d_obs, args.trace)
     codec.write_tensor(args.out, result.a_opt)
     print(
@@ -264,12 +280,7 @@ def _cmd_solve(args):
 
 
 def _cmd_detect(args):
-    a = codec.read_tensor(args.volume)
-    try:
-        a = as_volume(a)
-    except ValueError as exc:
-        raise ConfigError(f"{args.volume}: {exc}")
-    dets = detect(a)
+    dets = detect(_read_checked(args.volume, as_volume))
     codec.write_detections_csv(args.out, dets)
     print(f"{len(dets)} detections written to {args.out}")
 

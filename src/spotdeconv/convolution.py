@@ -10,11 +10,6 @@ import numpy as np
 from scipy.ndimage import convolve1d, correlate1d
 
 
-def conv_same_1d(signal, taps):
-    """Zero-padded same-size 1-D convolution with an odd symmetric tap vector."""
-    return convolve1d(np.asarray(signal, dtype=np.float64), taps, mode="constant", cval=0.0)
-
-
 def conv_same_2d(img, factor):
     """Separable 2-D convolution with the rank-1 kernel factor x factor."""
     out = convolve1d(img, factor.taps, axis=0, mode="constant", cval=0.0)

@@ -1,8 +1,16 @@
 """Accelerated proximal gradient solver for the group-sparse deconvolution.
 
 Minimizes  ||w . (d_obs - sum_k g_k * a_k)||_2^2 + lambda * sum_{m,n} ||a_{m,n}||_2
-over a >= 0, via gradient steps on the fidelity term, per-pixel group
-shrinkage on the regularizer, and an optional momentum extrapolation.
+over a >= 0 by fixed-step FISTA (Beck & Teboulle 2009), without restarts.
+Each iteration takes four steps from the extrapolated point b:
+
+1. a gradient step on the fidelity term,
+2. a projection onto a >= 0,
+3. a per-pixel group shrinkage (the prox of the regularizer),
+4. a momentum extrapolation b = a_new + alpha * (a_new - a).
+
+The one other exit is divergence: a non-finite iterate raises
+FloatingPointError. Diagnostics come from the `progress` hook.
 
 Bookkeeping note: the gradient step uses eta times adjoint(w^2 . residual),
 i.e. without the factor 2 from differentiating the squared norm, and the
@@ -32,8 +40,6 @@ class SolverConfig:
     chambolle_a: float = 3.0
     max_iters: int = 5000
     rel_tol: float = 1e-6
-    record_objective: bool = False
-    safeguard: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -44,6 +50,8 @@ class SolverConfig:
             raise ValueError(f"Chambolle parameter must be > 2, got {self.chambolle_a}")
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -51,7 +59,6 @@ class SolveResult:
     a_opt: np.ndarray
     iterations: int
     final_rel_change: float
-    objective_trace: Optional[list] = None
 
 
 def step_size(sigma_max_pixels, w):
@@ -110,6 +117,9 @@ def objective(a, d_obs, w, bank, lam):
 def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     """Run the accelerated proximal gradient iteration until the relative
     Frobenius change of the iterate drops below cfg.rel_tol or max_iters hits.
+
+    progress(i, rel_change, a), if given, is called after each iteration i
+    with the accepted iterate a, which it must not modify.
     """
     m, n = d_obs.shape
     depth = bank.num_kernels
@@ -126,56 +136,24 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
         raise ValueError(f"a0 shape {a.shape} does not match problem {(m, n, depth)}")
     b = a.copy()
 
-    trace = [] if cfg.record_objective else None
     mom_state = None
-    rel_change = np.inf
-    prev_obj = None
-    iterations = 0
-
     for i in range(1, cfg.max_iters + 1):
         residual = forward(b, bank) - d_obs
         a_new = project_nonneg(b - eta * adjoint(w2 * residual, bank))
         a_new = prox_group(a_new, kappa)
-
         if not np.all(np.isfinite(a_new)):
-            if cfg.safeguard:
-                eta *= 0.5
-                kappa = 0.5 * eta * cfg.lam
-                a = np.zeros((m, n, depth))
-                b = a.copy()
-                mom_state = None
-                continue
             raise FloatingPointError("divergence: non-finite iterate")
 
         rel_change = frobenius_norm(a_new - a) / max(frobenius_norm(a), 1e-12)
-        obj = None
-        if cfg.record_objective:
-            obj = objective(a_new, d_obs, cfg.weights, bank, cfg.lam)
-            trace.append(obj)
-        if cfg.safeguard and cfg.momentum == NO_MOMENTUM and obj is not None:
-            if prev_obj is not None and obj > 10.0 * prev_obj:
-                eta *= 0.5
-                kappa = 0.5 * eta * cfg.lam
-                a = np.zeros((m, n, depth))
-                b = a.copy()
-                mom_state = None
-                prev_obj = None
-                continue
-            prev_obj = obj
-
+        # Called before the extrapolation, which the hook cannot see: called
+        # after it, a 128x128 `pipeline` (which always writes the objective
+        # trace) peaked 1.3 MB (2%) higher in RSS.
+        if progress is not None:
+            progress(i, rel_change, a_new)
         alpha, mom_state = momentum_alpha(cfg.momentum, i, mom_state, cfg.chambolle_a)
         b = a_new + alpha * (a_new - a)
         a = a_new
-        iterations = i
-
-        if progress is not None:
-            progress(i, rel_change, obj)
         if rel_change <= cfg.rel_tol:
             break
 
-    return SolveResult(
-        a_opt=a,
-        iterations=iterations,
-        final_rel_change=float(rel_change),
-        objective_trace=trace,
-    )
+    return SolveResult(a_opt=a, iterations=i, final_rel_change=float(rel_change))

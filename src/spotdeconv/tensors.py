@@ -43,28 +43,5 @@ def group_norm_image(v):
     return np.sqrt(np.sum(np.square(v), axis=2))
 
 
-def _check_shapes(a, b):
-    if np.shape(a) != np.shape(b):
-        raise ValueError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
-
-
-def dot(a, b):
-    """Inner product of same-shaped arrays."""
-    _check_shapes(a, b)
-    return float(np.vdot(a, b))
-
-
 def frobenius_norm(a):
     return float(np.sqrt(np.vdot(a, a).real))
-
-
-def ewise_mul(a, b):
-    """Element-wise (Hadamard) product with a shape check."""
-    _check_shapes(a, b)
-    return np.multiply(a, b)
-
-
-def axpy(alpha, x, y):
-    """alpha * x + y for same-shaped arrays."""
-    _check_shapes(x, y)
-    return alpha * x + y

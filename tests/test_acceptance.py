@@ -20,6 +20,7 @@ from spotdeconv.solver import (
     SolverConfig,
     apg_solve,
     momentum_alpha,
+    objective,
     prox_group,
 )
 from spotdeconv.synth import SceneSpec, generate_scene, render_observation
@@ -201,10 +202,15 @@ def test_criterion_6_ista_monotonicity():
     cfg, bank, d_obs, _ = _demo_problem()
     solver_cfg = SolverConfig(
         lam=cfg.lam, weights=np.ones(d_obs.shape), momentum=NO_MOMENTUM,
-        max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, record_objective=True,
+        max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
     )
-    res = apg_solve(d_obs, bank, solver_cfg)
-    trace = np.array(res.objective_trace)
+    objs = []
+
+    def record(i, rel_change, a):
+        objs.append(objective(a, d_obs, solver_cfg.weights, bank, cfg.lam))
+
+    res = apg_solve(d_obs, bank, solver_cfg, progress=record)
+    trace = np.array(objs)
     increases = int(np.sum(trace[1:] > trace[:-1] * (1 + 1e-12)))
     _report(
         "criterion 6: ISTA objective monotonicity on demo instance",

@@ -6,6 +6,8 @@ import pytest
 
 from spotdeconv import codec
 from spotdeconv.cli import ConfigError, load_config, main
+from spotdeconv.kernels import build_kernel_bank, make_scale_grid
+from spotdeconv.solver import objective
 
 
 def _write_config(tmp_path, **overrides):
@@ -50,6 +52,13 @@ def test_load_config_bad_momentum(tmp_path):
 def test_load_config_bad_weights(tmp_path):
     path = _write_config(tmp_path, weights={"magic": 1})
     with pytest.raises(ConfigError, match="weights"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_load_config_bad_max_iters(tmp_path, max_iters):
+    path = _write_config(tmp_path, max_iters=max_iters)
+    with pytest.raises(ConfigError, match="'max_iters'"):
         load_config(path)
 
 
@@ -237,3 +246,39 @@ def test_diverging_pipeline_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error: divergence: ")
     assert caught == []
+
+
+def test_solve_trace_matches_result(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    main(["synth", "--config", cfg, "--out-dir", str(out)])
+    capsys.readouterr()
+    assert main([
+        "solve", "--config", cfg, "--obs", str(out / "d_obs.f64t"),
+        "--out", str(out / "a_opt.f64t"), "--trace", str(out / "trace.csv"),
+    ]) == 0
+    iterations = int(capsys.readouterr().out.split()[2])
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, iterations + 1))
+    d_obs = codec.read_tensor(out / "d_obs.f64t")
+    bank = build_kernel_bank(make_scale_grid(1.5, 2))
+    final = objective(codec.read_tensor(out / "a_opt.f64t"), d_obs, np.ones(d_obs.shape), bank, 0.05)
+    assert float(rows[-1].split(",")[1]) == final
+
+
+@pytest.mark.parametrize("which", ["obs", "weights"])
+def test_solve_rejects_non_finite_input(tmp_path, capsys, which):
+    d_obs, w = np.zeros((16, 16)), np.ones((16, 16))
+    (d_obs if which == "obs" else w)[5, 7] = np.nan
+    obs_path, w_path = tmp_path / "d_obs.f64t", tmp_path / "w.f64t"
+    codec.write_tensor(obs_path, d_obs)
+    codec.write_tensor(w_path, w)
+    cfg = _write_config(tmp_path, weights={"file": str(w_path)})
+    out = tmp_path / "a.f64t"
+    rc = main(["solve", "--config", cfg, "--obs", str(obs_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(obs_path if which == "obs" else w_path) in err and "non-finite" in err
+    assert not out.exists()

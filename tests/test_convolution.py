@@ -3,7 +3,6 @@ import pytest
 
 from spotdeconv.convolution import (
     adjoint,
-    conv_same_1d,
     conv_same_2d,
     corr_same_2d,
     forward,
@@ -17,14 +16,16 @@ def _near_delta_bank(depth=1):
     return build_kernel_bank(make_scale_grid(0.1 * depth, depth))
 
 
+# On a 1 x 3 image the vertical pass sees only the centre tap, so
+# conv_same_2d reduces to the 1-D convolution along the row.
 def test_conv1d_identity_kernel():
-    sig = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(conv_same_1d(sig, np.array([1.0])), sig)
+    sig = np.array([[1.0, -2.0, 3.0]])
+    np.testing.assert_array_equal(conv_same_2d(sig, Kernel1D(np.array([1.0]), 0)), sig)
 
 
 def test_conv1d_box_zero_padding():
-    out = conv_same_1d(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(out, [3.0, 6.0, 5.0])
+    out = conv_same_2d(np.array([[1.0, 2.0, 3.0]]), Kernel1D(np.ones(3), 0))
+    np.testing.assert_allclose(out, [[3.0, 6.0, 5.0]])
 
 
 def test_conv2d_kernel_larger_than_image():

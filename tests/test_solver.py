@@ -217,10 +217,11 @@ def test_ista_monotone_objective():
     a_true[3, 3, 0] = 2.0
     a_true[7, 6, 1] = 1.5
     d_obs = forward(a_true, bank) + 0.01 * rng.standard_normal((10, 10))
-    cfg = _cfg(0.05, (10, 10), momentum=NO_MOMENTUM, max_iters=500,
-               record_objective=True)
-    res = apg_solve(d_obs, bank, cfg)
-    trace = np.array(res.objective_trace)
+    cfg = _cfg(0.05, (10, 10), momentum=NO_MOMENTUM, max_iters=500)
+    objs = []
+    apg_solve(d_obs, bank, cfg,
+              progress=lambda i, rel, a: objs.append(objective(a, d_obs, cfg.weights, bank, 0.05)))
+    trace = np.array(objs)
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-12))
 
 
@@ -285,6 +286,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0, weights=np.ones((2, 2)), momentum=CHAMBOLLE,
                      chambolle_a=2.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(lam=0.0, weights=np.ones((2, 2)), max_iters=0)
 
 
 def test_progress_callback_called():
@@ -292,6 +295,19 @@ def test_progress_callback_called():
     seen = []
     apg_solve(
         np.ones((4, 4)), bank, _cfg(0.01, (4, 4), max_iters=5),
-        progress=lambda i, rel, obj: seen.append(i),
+        progress=lambda i, rel, a: seen.append(i),
     )
     assert seen == [1, 2, 3, 4, 5]
+
+
+def test_progress_gets_accepted_iterate():
+    bank = build_kernel_bank(make_scale_grid(1.5, 2))
+    a_true = np.zeros((8, 8, 2))
+    a_true[4, 4, 0] = 2.0
+    last = {}
+    res = apg_solve(
+        forward(a_true, bank), bank, _cfg(0.05, (8, 8), max_iters=40),
+        progress=lambda i, rel, a: last.update(i=i, a=a.copy()),
+    )
+    assert last["i"] == res.iterations
+    np.testing.assert_array_equal(last["a"], res.a_opt)

@@ -4,8 +4,6 @@ import pytest
 from spotdeconv.tensors import (
     as_image,
     as_volume,
-    dot,
-    ewise_mul,
     frobenius_norm,
     group_norm_image,
     project_nonneg,
@@ -48,28 +46,8 @@ def test_group_norm_matches_frobenius():
     assert np.sum(group_norm_image(v) ** 2) == pytest.approx(frobenius_norm(v) ** 2)
 
 
-def test_dot_and_frobenius():
-    assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+def test_frobenius_zero():
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_ewise_mul():
-    np.testing.assert_array_equal(
-        ewise_mul(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0]
-    )
-
-
-def test_ewise_commutative():
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, 5, 5))
-    np.testing.assert_array_equal(ewise_mul(a, b), ewise_mul(b, a))
-
-
-def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        dot(np.ones(2), np.ones(3))
-    with pytest.raises(ValueError):
-        ewise_mul(np.ones((2, 2)), np.ones((3, 2)))
 
 
 def test_validators():
