@@ -7,9 +7,10 @@ offending field or file on any error.
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -30,8 +31,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    sigma_max: float
-    delta_pix: float
+    sigma_max_pixels: float
     num_scales: int
     truncation: float
     lam: float
@@ -42,24 +42,38 @@ class RunConfig:
     rel_tol: float
     max_iters: int
     seed: int
-    scene: dict = field(default_factory=dict)
-
-    @property
-    def sigma_max_pixels(self):
-        return self.sigma_max / self.delta_pix
+    scene: Optional[SceneSpec] = None
+    noise_sigma_rel: Optional[float] = None
 
 
-def _require(cfg, key, kind):
-    if key not in cfg:
-        raise ConfigError(f"config field {key!r} is missing")
-    value = cfg[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} has invalid value {value!r}")
+def _number(table, key, default=None, *, scope="", integer=False,
+            above=None, at_least=None):
+    """table[key] (an object field `scope.key` or a list entry `scope[key]`) as a finite
+    float, or int if `integer`; required if `default` is None. A failure raises a
+    ConfigError naming the field and the value."""
+    name = f"{scope}[{key}]" if isinstance(table, list) else f"{scope}.{key}".lstrip(".")
+    if isinstance(table, dict) and key not in table:
+        if default is None:
+            raise ConfigError(f"config field {name!r} is missing")
+        return default
+    value = table[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = "must be a number"
+    elif not -sys.float_info.max <= value <= sys.float_info.max:  # exact for any int; NaN fails
+        problem = "must be a finite number"
+    elif integer and value != int(value):
+        problem = "must be an integer"
+    elif above is not None and not value > above:
+        problem = f"must be > {above}"
+    elif at_least is not None and not value >= at_least:
+        problem = f"must be >= {at_least}"
+    else:
+        return int(value) if integer else float(value)
+    raise ConfigError(f"config field {name!r} {problem}, got {value!r}")
 
 
 def load_config(path):
+    """Parse and check a whole config, scene block included."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -67,54 +81,76 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
 
-    sigma_max = _require(raw, "sigma_max", float)
-    delta_pix = float(raw.get("delta_pix", 1.0))
-    if delta_pix <= 0:
-        raise ConfigError(f"config field 'delta_pix' must be > 0, got {delta_pix}")
-    if sigma_max <= 0:
-        raise ConfigError(f"config field 'sigma_max' must be > 0, got {sigma_max}")
-    num_scales = _require(raw, "K", int)
-    if num_scales < 1:
-        raise ConfigError(f"config field 'K' must be >= 1, got {num_scales}")
-    lam = _require(raw, "lambda", float)
-    if lam < 0:
-        raise ConfigError(f"config field 'lambda' must be >= 0, got {lam}")
+    sigma_max_pixels = _number(raw, "sigma_max", above=0) / _number(raw, "delta_pix", 1.0, above=0)
+    if not 0 < sigma_max_pixels < np.inf:
+        raise ConfigError(f"config fields 'sigma_max'/'delta_pix' give {sigma_max_pixels} px")
+    num_scales = _number(raw, "K", integer=True, at_least=1)
+    seed = _number(raw, "seed", 0, integer=True, at_least=0)
 
     weights = raw.get("weights", {"uniform": 1.0})
-    if not isinstance(weights, dict) or len(weights) != 1 or not (
-        "uniform" in weights or "file" in weights
-    ):
-        raise ConfigError(
-            "config field 'weights' must be {\"uniform\": value} or {\"file\": path}"
-        )
-    weights_uniform = float(weights["uniform"]) if "uniform" in weights else None
-    weights_file = str(weights["file"]) if "file" in weights else None
+    if not (isinstance(weights, dict) and len(weights) == 1
+            and ("uniform" in weights or isinstance(weights.get("file"), str))):
+        raise ConfigError("config field 'weights' must be {\"uniform\": value} or {\"file\": path}")
 
-    max_iters = int(raw.get("max_iters", 5000))
-    if max_iters < 1:
-        raise ConfigError(f"config field 'max_iters' must be >= 1, got {max_iters}")
-
-    momentum = str(raw.get("momentum", BECK)).lower()
+    momentum = raw.get("momentum", SolverConfig.momentum)
+    momentum = momentum.lower() if isinstance(momentum, str) else momentum
     if momentum not in (BECK, CHAMBOLLE, NO_MOMENTUM):
         raise ConfigError(
             f"config field 'momentum' must be one of beck/chambolle/none, got {momentum!r}"
         )
 
+    scene, noise_sigma_rel = raw.get("scene"), None
+    if scene is not None:
+        if not isinstance(scene, dict):
+            raise ConfigError(f"config field 'scene' must be an object, got {scene!r}")
+        if "noise_sigma" in scene and "noise_sigma_rel" in scene:
+            raise ConfigError("config field 'scene' sets both noise_sigma and noise_sigma_rel")
+        amplitude = scene.get("amplitude", [1.0, 1.0])
+        if not (isinstance(amplitude, list) and len(amplitude) == 2):
+            raise ConfigError("config field 'scene.amplitude' must be a [lo, hi] pair")
+        profile = scene.get("scale_profile")
+        if not (profile is None or isinstance(profile, list)):
+            raise ConfigError("config field 'scene.scale_profile' must be a list")
+        number = functools.partial(_number, scene, scope="scene")
+        spec = dict(
+            rows=number("rows", integer=True),
+            cols=number("cols", integer=True),
+            depth=num_scales,
+            n_sources=number("n_sources", integer=True),
+            min_separation=number("min_separation", 1.0),
+            amplitude_lo=_number(amplitude, 0, scope="scene.amplitude"),
+            amplitude_hi=_number(amplitude, 1, scope="scene.amplitude"),
+            noise_sigma=number("noise_sigma", 0.0),
+            seed=seed,
+            scale_profile=None if profile is None else [
+                _number(profile, i, scope="scene.scale_profile") for i in range(len(profile))
+            ],
+        )
+        if "noise_sigma_rel" in scene:
+            noise_sigma_rel = number("noise_sigma_rel", at_least=0)
+        try:
+            scene = SceneSpec(**spec)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'scene' is invalid: {exc}") from None
+
     return RunConfig(
-        sigma_max=sigma_max,
-        delta_pix=delta_pix,
+        sigma_max_pixels=sigma_max_pixels,
         num_scales=num_scales,
-        truncation=float(raw.get("truncation", DEFAULT_TRUNCATION)),
-        lam=lam,
-        weights_uniform=weights_uniform,
-        weights_file=weights_file,
+        truncation=_number(raw, "truncation", DEFAULT_TRUNCATION, above=0),
+        lam=_number(raw, "lambda", at_least=0),
+        weights_uniform=None if "file" in weights else _number(weights, "uniform", scope="weights"),
+        weights_file=weights.get("file"),
         momentum=momentum,
-        chambolle_a=float(raw.get("chambolle_a", 3.0)),
-        rel_tol=float(raw.get("rel_tol", 1e-6)),
-        max_iters=max_iters,
-        seed=int(raw.get("seed", 0)),
-        scene=raw.get("scene", {}),
+        chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a,
+                            above=2 if momentum == CHAMBOLLE else None),
+        rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol, above=0),
+        max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True, at_least=1),
+        seed=seed,
+        scene=scene,
+        noise_sigma_rel=noise_sigma_rel,
     )
 
 
@@ -125,9 +161,8 @@ def _kernel_bank(cfg):
 
 def _read_checked(path, check):
     """Read a tensor file and validate it with `check`; a failure names the file."""
-    arr = codec.read_tensor(path)
     try:
-        return check(arr)
+        return check(codec.read_tensor(path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
@@ -143,39 +178,18 @@ def _weights_image(cfg, shape):
     return np.full(shape, cfg.weights_uniform)
 
 
-def _scene_spec(cfg):
-    scene = cfg.scene
-    if not scene:
-        raise ConfigError("config field 'scene' is missing")
-    amplitude = scene.get("amplitude", [1.0, 1.0])
-    if not (isinstance(amplitude, (list, tuple)) and len(amplitude) == 2):
-        raise ConfigError("scene field 'amplitude' must be a [lo, hi] pair")
-    return SceneSpec(
-        rows=_require(scene, "rows", int),
-        cols=_require(scene, "cols", int),
-        depth=cfg.num_scales,
-        n_sources=_require(scene, "n_sources", int),
-        min_separation=float(scene.get("min_separation", 1.0)),
-        amplitude_lo=float(amplitude[0]),
-        amplitude_hi=float(amplitude[1]),
-        noise_sigma=float(scene.get("noise_sigma", 0.0)),
-        seed=cfg.seed,
-        scale_profile=scene.get("scale_profile"),
-    )
-
-
 def run_synth(cfg, out_dir):
+    spec = cfg.scene
+    if spec is None:
+        raise ConfigError("config field 'scene' is missing")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _scene_spec(cfg)
     bank = _kernel_bank(cfg)
     a_true, gt = generate_scene(spec)
 
     clean = render_observation(a_true, bank, 0.0, spec.seed)
-    noise_sigma = spec.noise_sigma
-    noise_rel = cfg.scene.get("noise_sigma_rel")
-    if noise_rel is not None:
-        noise_sigma = float(noise_rel) * float(np.max(clean))
+    noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
+                   else cfg.noise_sigma_rel * float(np.max(clean)))
     d_obs = render_observation(a_true, bank, noise_sigma, spec.seed + 1)
 
     codec.write_tensor(out_dir / "a_true.f64t", a_true)
@@ -361,8 +375,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, codec.CodecError, ValueError, RuntimeError, OSError,
-            FloatingPointError) as exc:
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

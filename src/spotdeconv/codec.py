@@ -4,11 +4,12 @@ Binary tensors (.f64t): magic b"SPTD", little-endian u32 version (1),
 u32 ndim (2 or 3), ndim u64 dimensions, then the row-major (k fastest for
 3-D) float64 payload. Round-trips are bit-exact.
 
-CSV: images as plain decimal rows; detections with header
-"row,col,pseudo_likelihood"; ground truth with header "row,col".
+CSV: detections with header "row,col,pseudo_likelihood"; ground truth
+with header "row,col".
 """
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -55,31 +56,17 @@ def read_tensor(path):
             f"truncated dimensions: file is {len(data)} bytes, need >= {header_end}"
         )
     shape = struct.unpack_from(f"<{ndim}Q", data, 12)
-    count = int(np.prod(shape))
-    expected = header_end + 8 * count
+    expected = header_end + 8 * math.prod(shape)
     if len(data) != expected:
         raise CodecError(
             f"payload length mismatch at byte offset {header_end}: "
             f"expected {expected} bytes total, got {len(data)}"
         )
-    arr = np.frombuffer(data, dtype="<f8", offset=header_end, count=count)
-    return arr.reshape(shape).astype(np.float64)
-
-
-def write_image_csv(path, img):
-    img = np.asarray(img, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in img:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_image_csv(path):
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty image CSV")
-    return np.array(rows, dtype=np.float64)
+    try:  # numpy refuses dims whose product overflows, even when one of them is 0
+        arr = np.frombuffer(data, dtype="<f8", offset=header_end).reshape(shape)
+    except ValueError as exc:
+        raise CodecError(f"bad dimensions {shape} at byte offset 12: {exc}") from None
+    return arr.astype(np.float64)
 
 
 def write_detections_csv(path, dets):

@@ -56,9 +56,9 @@ class KernelBank:
 
 
 def make_scale_grid(sigma_max_pixels, num_bins):
-    if sigma_max_pixels <= 0:
-        raise ValueError(f"sigma_max_pixels must be > 0, got {sigma_max_pixels}")
-    if num_bins < 1:
+    if not 0 < sigma_max_pixels < np.inf:
+        raise ValueError(f"sigma_max_pixels must be finite and > 0, got {sigma_max_pixels}")
+    if not num_bins >= 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     edges = np.linspace(0.0, sigma_max_pixels, num_bins + 1)
     return ScaleGrid(sigma_max_pixels=float(sigma_max_pixels), edges=edges)
@@ -71,8 +71,8 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
     """
     if not 0 <= k < grid.num_bins:
         raise ValueError(f"bin index {k} out of range [0, {grid.num_bins})")
-    if truncation <= 0:
-        raise ValueError(f"truncation must be > 0, got {truncation}")
+    if not 0 < truncation < np.inf:
+        raise ValueError(f"truncation must be finite and > 0, got {truncation}")
     sigma = max(grid.midpoint(k), SIGMA_MIN)
     radius = int(np.ceil(truncation * sigma))
     j = np.arange(-radius, radius + 1)

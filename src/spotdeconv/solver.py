@@ -42,15 +42,15 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if self.momentum not in (BECK, CHAMBOLLE, NO_MOMENTUM):
             raise ValueError(f"unknown momentum scheme {self.momentum!r}")
-        if self.momentum == CHAMBOLLE and self.chambolle_a <= 2:
+        if self.momentum == CHAMBOLLE and not self.chambolle_a > 2:
             raise ValueError(f"Chambolle parameter must be > 2, got {self.chambolle_a}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 

@@ -32,15 +32,23 @@ class SceneSpec:
     scale_profile: Optional[Sequence[float]] = None  # default: single random k
 
     def __post_init__(self):
-        if self.min_separation < 1:
+        if not (self.rows >= 1 and self.cols >= 1):
+            raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
+        if not self.n_sources >= 0:
+            raise ValueError(f"n_sources must be >= 0, got {self.n_sources}")
+        if not self.min_separation >= 1:
             raise ValueError(f"min_separation must be >= 1, got {self.min_separation}")
         if not 0 < self.amplitude_lo <= self.amplitude_hi:
             raise ValueError(
                 f"need 0 < amplitude_lo <= amplitude_hi, got "
                 f"({self.amplitude_lo}, {self.amplitude_hi})"
             )
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.scale_profile is not None:
+            profile = np.asarray(self.scale_profile, dtype=np.float64)
+            if profile.shape != (self.depth,) or not np.all(np.isfinite(profile)):
+                raise ValueError(f"scale_profile must hold {self.depth} finite values")
 
 
 def generate_scene(spec):
@@ -67,17 +75,13 @@ def generate_scene(spec):
         ):
             positions.append((r, c))
 
+    profile = None if spec.scale_profile is None else np.array(spec.scale_profile, float)
     for r, c in positions:
         amplitude = rng.uniform(spec.amplitude_lo, spec.amplitude_hi)
-        if spec.scale_profile is None:
+        if profile is None:
             k = int(rng.integers(0, spec.depth))
             a_true[r, c, k] += amplitude
         else:
-            profile = np.asarray(spec.scale_profile, dtype=np.float64)
-            if profile.shape != (spec.depth,):
-                raise ValueError(
-                    f"scale_profile length {profile.shape} does not match depth {spec.depth}"
-                )
             a_true[r, c, :] += amplitude * profile
 
     gt = [(float(r), float(c)) for r, c in positions]

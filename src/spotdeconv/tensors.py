@@ -18,18 +18,13 @@ def as_image(arr):
     return img
 
 
-def as_volume(arr, nonneg=False):
-    """Validate and return a finite 3-D (M, N, K) float64 array.
-
-    With nonneg=True additionally require every entry >= 0.
-    """
+def as_volume(arr):
+    """Validate and return a finite 3-D (M, N, K) float64 array."""
     vol = np.asarray(arr, dtype=np.float64)
     if vol.ndim != 3 or min(vol.shape) < 1:
         raise ValueError(f"volume must be 3-D with positive dims, got shape {vol.shape}")
     if not np.all(np.isfinite(vol)):
         raise ValueError("volume contains non-finite entries")
-    if nonneg and np.any(vol < 0):
-        raise ValueError("volume has negative entries")
     return vol
 
 

@@ -1,11 +1,14 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spotdeconv import codec
-from spotdeconv.cli import ConfigError, load_config, main
+from spotdeconv.cli import ConfigError, RunConfig, load_config, main
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import objective
 
@@ -60,6 +63,82 @@ def test_load_config_bad_max_iters(tmp_path, max_iters):
     path = _write_config(tmp_path, max_iters=max_iters)
     with pytest.raises(ConfigError, match="'max_iters'"):
         load_config(path)
+
+
+def _set_field(cfg, dotted, value):
+    """Set a field named like 'scene.amplitude.0' in a nested config."""
+    *parents, key = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    for parent in parents:
+        cfg = cfg[parent]
+    cfg[key] = value
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("dotted, value, named", [
+    ("truncation", INF, "'truncation'"),
+    ("truncation", NAN, "'truncation'"),
+    ("scene", [1], "'scene'"),
+    ("rel_tol", NAN, "'rel_tol'"),
+    ("K", 1.7, "'K'"),
+    ("max_iters", 2.5, "'max_iters'"),
+    ("lambda", NAN, "'lambda'"),
+    ("weights.uniform", NAN, "'weights.uniform'"),
+    ("chambolle_a", NAN, "'chambolle_a'"),
+    ("sigma_max", NAN, "'sigma_max'"),
+    ("delta_pix", NAN, "'delta_pix'"),
+    ("scene.noise_sigma_rel", NAN, "'scene.noise_sigma_rel'"),
+    ("scene.noise_sigma", 0.1, "noise_sigma and noise_sigma_rel"),
+    ("scene.n_sources", -1, "n_sources"),
+    ("scene.rows", 0, "rows"),
+])
+def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
+    path = Path(_write_config(tmp_path))
+    cfg = json.loads(path.read_text())
+    _set_field(cfg, dotted, value)
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "p"
+    rc = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: config field") and named in err
+    assert not out.exists()
+
+
+DEMO_CONFIG = Path(__file__).parent.parent / "configs" / "demo.json"
+DEMO_FIELDS = [
+    "sigma_max", "delta_pix", "K", "truncation", "lambda", "weights", "weights.uniform",
+    "weights.file", "momentum", "chambolle_a", "rel_tol", "max_iters", "seed", "scene",
+    "scene.rows", "scene.cols", "scene.n_sources", "scene.min_separation",
+    "scene.amplitude", "scene.amplitude.0", "scene.amplitude.1", "scene.noise_sigma",
+    "scene.noise_sigma_rel", "scene.scale_profile",
+]
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=6), st.floats(),
+        st.integers(-10**6, 10**6), st.sampled_from([10**400, -10**400, 2**64, -1, 0, 4]),
+    ),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dotted=st.sampled_from(DEMO_FIELDS), value=json_values)
+def test_load_config_any_field_value(tmp_path, dotted, value):
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    _set_field(cfg, dotted, value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        run = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+    assert np.isfinite([run.sigma_max_pixels, run.truncation, run.lam, run.rel_tol]).all()
 
 
 def test_synth_outputs(tmp_path):

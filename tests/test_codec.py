@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spotdeconv import codec
 from spotdeconv.detection import Detection
@@ -43,8 +48,6 @@ def test_bad_magic(tmp_path):
 
 
 def test_bad_version_and_ndim(tmp_path):
-    import struct
-
     path = tmp_path / "bad.f64t"
     path.write_bytes(b"SPTD" + struct.pack("<II", 9, 2) + struct.pack("<2Q", 1, 1) + b"\x00" * 8)
     with pytest.raises(codec.CodecError, match="version"):
@@ -63,11 +66,46 @@ def test_truncated_payload_reports_lengths(tmp_path):
         codec.read_tensor(path)
 
 
-def test_image_csv_roundtrip(tmp_path):
-    path = tmp_path / "img.csv"
-    img = np.array([[0.5, -1.25], [3.0, 1e-17]])
-    codec.write_image_csv(path, img)
-    np.testing.assert_array_equal(codec.read_image_csv(path), img)
+def _read_or_codec_error(path, data):
+    path.write_bytes(data)
+    try:
+        assert isinstance(codec.read_tensor(path), np.ndarray)
+    except codec.CodecError:
+        pass
+
+
+_fuzz = settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_small_tensors = arrays(np.float64, array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=4))
+
+
+@_fuzz
+@given(arr=_small_tensors, data=st.data())
+def test_read_tensor_truncated_or_flipped(tmp_path, arr, data):
+    path = tmp_path / "t.f64t"
+    codec.write_tensor(path, arr)
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    _read_or_codec_error(path, raw[:cut])
+    at = data.draw(st.integers(0, len(raw) - 1))
+    flipped = bytearray(raw)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    _read_or_codec_error(path, bytes(flipped))
+
+
+@_fuzz
+@given(
+    version=st.sampled_from([1, 1, 2, 2**32 - 1]),
+    dims=st.lists(st.one_of(st.integers(0, 4), st.sampled_from([2**32, 2**63, 2**64 - 1]),
+                            st.integers(0, 2**64 - 1)), min_size=0, max_size=4),
+    ndim_delta=st.sampled_from([0, 0, 0, 1, -1]),
+    payload=st.binary(max_size=80),
+)
+# 2^32 x 2^32 elements: a 64-bit product wraps to 0 and matches the empty payload.
+@example(version=1, dims=[2**32, 2**32], ndim_delta=0, payload=b"")
+def test_read_tensor_random_headers(tmp_path, version, dims, ndim_delta, payload):
+    ndim = max(len(dims) + ndim_delta, 0)
+    header = b"SPTD" + struct.pack("<II", version, ndim) + struct.pack(f"<{len(dims)}Q", *dims)
+    _read_or_codec_error(tmp_path / "t.f64t", header + payload)
 
 
 def test_detections_csv_roundtrip(tmp_path):

@@ -26,6 +26,9 @@ def test_scale_grid_invalid():
         make_scale_grid(0.0, 3)
     with pytest.raises(ValueError):
         make_scale_grid(2.0, 0)
+    for sigma in [np.nan, np.inf]:
+        with pytest.raises(ValueError):
+            make_scale_grid(sigma, 3)
 
 
 def test_near_delta_factor():
@@ -87,3 +90,6 @@ def test_bad_bin_or_truncation():
         gaussian_factor_1d(grid, 2)
     with pytest.raises(ValueError):
         gaussian_factor_1d(grid, 0, truncation=0.0)
+    for truncation in [np.nan, np.inf]:
+        with pytest.raises(ValueError):
+            gaussian_factor_1d(grid, 0, truncation=truncation)

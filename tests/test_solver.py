@@ -288,6 +288,10 @@ def test_config_validation():
                      chambolle_a=2.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(lam=0.0, weights=np.ones((2, 2)), max_iters=0)
+    for bad in [dict(lam=np.nan), dict(rel_tol=np.nan),
+                dict(momentum=CHAMBOLLE, chambolle_a=np.nan)]:
+        with pytest.raises(ValueError):
+            SolverConfig(**{"lam": 0.0, "weights": np.ones((2, 2)), **bad})
 
 
 def test_progress_callback_called():
