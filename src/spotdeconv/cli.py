@@ -17,11 +17,12 @@ from typing import Optional
 import numpy as np
 
 from . import codec
+from .convolution import forward
 from .detection import detect
 from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
-from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, objective
-from .synth import GENERATOR_NAME, SceneSpec, generate_scene, render_observation
+from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, objective, step_size
+from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
 from .tensors import as_image, as_volume
 
 
@@ -168,30 +169,37 @@ def _read_checked(path, check):
 
 
 def _weights_image(cfg, shape):
+    """The weights image for an observation of `shape`: the weights file (2-D,
+    finite, of that shape) or the uniform value. Zero weights raise."""
     if cfg.weights_file is not None:
         w = _read_checked(cfg.weights_file, as_image)
         if w.shape != shape:
             raise ConfigError(
                 f"weights file shape {w.shape} does not match observation {shape}"
             )
-        return w
-    return np.full(shape, cfg.weights_uniform)
+    else:
+        w = np.full(shape, cfg.weights_uniform)
+    step_size(cfg.sigma_max_pixels, w)  # the solver's "degenerate weights" check
+    return w
 
 
-def run_synth(cfg, out_dir):
-    spec = cfg.scene
-    if spec is None:
+def _scene(cfg):
+    if cfg.scene is None:
         raise ConfigError("config field 'scene' is missing")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bank = _kernel_bank(cfg)
-    a_true, gt = generate_scene(spec)
+    return cfg.scene
 
-    clean = render_observation(a_true, bank, 0.0, spec.seed)
+
+def run_synth(cfg, bank, out_dir):
+    """Generate and render the scene, then write its four files to `out_dir`."""
+    spec = _scene(cfg)
+    a_true, gt = generate_scene(spec)
+    clean = forward(a_true, bank)
     noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
                    else cfg.noise_sigma_rel * float(np.max(clean)))
-    d_obs = render_observation(a_true, bank, noise_sigma, spec.seed + 1)
+    d_obs = add_noise(clean, noise_sigma, spec.seed + 1)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     codec.write_tensor(out_dir / "a_true.f64t", a_true)
     codec.write_tensor(out_dir / "d_obs.f64t", d_obs)
     codec.write_ground_truth_csv(out_dir / "gt.csv", gt)
@@ -212,9 +220,7 @@ def run_synth(cfg, out_dir):
     return d_obs, gt
 
 
-def run_solve(cfg, d_obs, trace_path=None):
-    bank = _kernel_bank(cfg)
-    weights = _weights_image(cfg, d_obs.shape)
+def run_solve(cfg, bank, weights, d_obs, trace_path=None):
     solver_cfg = SolverConfig(
         lam=cfg.lam,
         weights=weights,
@@ -278,14 +284,15 @@ def run_evaluate(dets, gt, tol, report_path, sweep_path):
 
 def _cmd_synth(args):
     cfg = load_config(args.config)
-    run_synth(cfg, args.out_dir)
+    run_synth(cfg, _kernel_bank(cfg), args.out_dir)
     print(f"scene written to {args.out_dir}")
 
 
 def _cmd_solve(args):
     cfg = load_config(args.config)
     d_obs = _read_checked(args.obs, as_image)
-    result = run_solve(cfg, d_obs, args.trace)
+    bank = _kernel_bank(cfg)
+    result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs, args.trace)
     codec.write_tensor(args.out, result.a_opt)
     print(
         f"solved in {result.iterations} iterations "
@@ -314,9 +321,13 @@ def _cmd_evaluate(args):
 def _cmd_pipeline(args):
     _check_tol(args.tol)
     cfg = load_config(args.config)
+    # Every input is built and checked before run_synth creates the out-dir.
+    spec = _scene(cfg)
+    bank = _kernel_bank(cfg)
+    weights = _weights_image(cfg, (spec.rows, spec.cols))
     out_dir = Path(args.out_dir)
-    d_obs, gt = run_synth(cfg, out_dir)
-    result = run_solve(cfg, d_obs, out_dir / "trace.csv")
+    d_obs, gt = run_synth(cfg, bank, out_dir)
+    result = run_solve(cfg, bank, weights, d_obs, out_dir / "trace.csv")
     codec.write_tensor(out_dir / "a_opt.f64t", result.a_opt)
     dets = detect(result.a_opt)
     codec.write_detections_csv(out_dir / "detections.csv", dets)

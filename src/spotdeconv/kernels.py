@@ -38,7 +38,6 @@ class Kernel1D:
     """Odd-length symmetric tap vector for one scale bin."""
 
     taps: np.ndarray
-    bin_index: int
 
     @property
     def radius(self):
@@ -78,7 +77,7 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
     j = np.arange(-radius, radius + 1)
     scale = 1.0 / (np.sqrt(2.0) * sigma)
     taps = 0.5 * (erf((j + 0.5) * scale) - erf((j - 0.5) * scale))
-    return Kernel1D(taps=taps, bin_index=k)
+    return Kernel1D(taps=taps)
 
 
 def build_kernel_bank(grid, truncation=DEFAULT_TRUNCATION):

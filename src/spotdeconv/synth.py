@@ -88,10 +88,14 @@ def generate_scene(spec):
     return a_true, gt
 
 
-def render_observation(a_true, bank, noise_sigma, seed):
-    """Clean forward image plus i.i.d. Gaussian noise (not clamped at 0)."""
-    clean = forward(a_true, bank)
+def add_noise(clean, noise_sigma, seed):
+    """`clean` plus i.i.d. Gaussian noise of std `noise_sigma` (not clamped at 0)."""
     if noise_sigma == 0:
         return clean
     rng = np.random.default_rng(seed)
     return clean + noise_sigma * rng.standard_normal(clean.shape)
+
+
+def render_observation(a_true, bank, noise_sigma, seed):
+    """Clean forward image plus i.i.d. Gaussian noise (not clamped at 0)."""
+    return add_noise(forward(a_true, bank), noise_sigma, seed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spotdeconv import codec
+from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import objective
@@ -197,6 +197,70 @@ def test_pipeline_end_to_end(tmp_path):
         assert (out / name).exists(), name
     report = json.loads((out / "report.json").read_text())
     assert report["f1"] == 1.0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("zero-weights", "degenerate weights"),
+    ("weights-shape", "shape (24, 23)"),
+    ("weights-nan", "non-finite"),
+    ("infeasible-scene", "could not place"),
+])
+def test_pipeline_checks_run_inputs_before_writing(tmp_path, capsys, case, message):
+    w = np.ones((24, 23) if case == "weights-shape" else (24, 24))
+    if case == "weights-nan":
+        w[1, 2] = np.nan
+    codec.write_tensor(tmp_path / "w.f64t", w)
+    overrides = {
+        "zero-weights": {"weights": {"uniform": 0.0}},
+        "weights-shape": {"weights": {"file": str(tmp_path / "w.f64t")}},
+        "weights-nan": {"weights": {"file": str(tmp_path / "w.f64t")}},
+        "infeasible-scene": {"scene": {"rows": 4, "cols": 4, "n_sources": 10,
+                                       "min_separation": 10}},
+    }[case]
+    out = tmp_path / "p"
+    rc = main(["pipeline", "--config", _write_config(tmp_path, **overrides),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err and message in err
+    assert not out.exists()
+
+
+def test_pipeline_builds_bank_and_clean_image_once(tmp_path, monkeypatch):
+    calls = {"build_kernel_bank": 0, "forward": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["pipeline", "--config", _write_config(tmp_path),
+                 "--out-dir", str(tmp_path / "p")]) == 0
+    assert calls == {"build_kernel_bank": 1, "forward": 1}
+
+
+def test_pipeline_matches_subcommand_chain(tmp_path):
+    cfg = _write_config(tmp_path)
+    pipe, chain = tmp_path / "pipe", tmp_path / "chain"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(pipe)]) == 0
+    assert main(["synth", "--config", cfg, "--out-dir", str(chain)]) == 0
+    assert main(["solve", "--config", cfg, "--obs", str(chain / "d_obs.f64t"),
+                 "--out", str(chain / "a_opt.f64t"), "--trace", str(chain / "trace.csv")]) == 0
+    assert main(["detect", "--volume", str(chain / "a_opt.f64t"),
+                 "--out", str(chain / "detections.csv")]) == 0
+    assert main(["evaluate", "--detections", str(chain / "detections.csv"),
+                 "--ground-truth", str(chain / "gt.csv"), "--out", str(chain / "report.json"),
+                 "--sweep", str(chain / "sweep.csv")]) == 0
+    names = sorted(p.name for p in pipe.iterdir())
+    assert names == sorted(p.name for p in chain.iterdir())
+    assert len(names) == 9
+    for name in names:
+        assert (pipe / name).read_bytes() == (chain / name).read_bytes(), name
 
 
 def test_solve_degenerate_weights_exit_code(tmp_path, capsys):

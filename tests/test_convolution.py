@@ -20,11 +20,11 @@ def _near_delta_bank(depth=1):
 # conv_same_2d reduces to the 1-D convolution along the row.
 def test_conv1d_identity_kernel():
     sig = np.array([[1.0, -2.0, 3.0]])
-    np.testing.assert_array_equal(conv_same_2d(sig, Kernel1D(np.array([1.0]), 0)), sig)
+    np.testing.assert_array_equal(conv_same_2d(sig, Kernel1D(np.array([1.0]))), sig)
 
 
 def test_conv1d_box_zero_padding():
-    out = conv_same_2d(np.array([[1.0, 2.0, 3.0]]), Kernel1D(np.ones(3), 0))
+    out = conv_same_2d(np.array([[1.0, 2.0, 3.0]]), Kernel1D(np.ones(3)))
     np.testing.assert_allclose(out, [[3.0, 6.0, 5.0]])
 
 
@@ -132,7 +132,7 @@ def test_adjoint_equals_convolution_by_symmetry():
 
 def test_correlation_is_true_adjoint_for_asymmetric_taps():
     # structural check with a deliberately non-palindromic kernel
-    factor = Kernel1D(taps=np.array([0.1, 0.5, 0.2]), bin_index=0)
+    factor = Kernel1D(taps=np.array([0.1, 0.5, 0.2]))
     rng = np.random.default_rng(17)
     img = rng.standard_normal((7, 7))
     r = rng.standard_normal((7, 7))
