@@ -21,7 +21,7 @@ from .convolution import forward
 from .detection import detect
 from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
-from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, objective, step_size
+from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, step_size
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
 from .tensors import as_image, as_volume
 
@@ -229,21 +229,15 @@ def run_solve(cfg, bank, weights, d_obs, trace_path=None):
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
     )
-    trace = []
-
-    def record(i, rel_change, a):
-        trace.append(objective(a, d_obs, weights, bank, cfg.lam))
-
     # A diverging run overflows before apg_solve sees a non-finite iterate
     # and raises; its FloatingPointError is the one diagnostic to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = apg_solve(d_obs, bank, solver_cfg,
-                           progress=None if trace_path is None else record)
+        result = apg_solve(d_obs, bank, solver_cfg)
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "objective"])
-            for i, obj in enumerate(trace, start=1):
+            for i, obj in enumerate(result.objectives, start=1):
                 writer.writerow([i, repr(obj)])
     return result
 
@@ -295,7 +289,7 @@ def _cmd_solve(args):
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs, args.trace)
     codec.write_tensor(args.out, result.a_opt)
     print(
-        f"solved in {result.iterations} iterations "
+        f"solved in {result.iterations} iterations, {result.restarts} restarts "
         f"(final rel change {result.final_rel_change:.3e})"
     )
 
@@ -335,8 +329,8 @@ def _cmd_pipeline(args):
         dets, gt, args.tol, out_dir / "report.json", out_dir / "sweep.csv"
     )
     print(
-        f"pipeline done: {result.iterations} iterations, {len(dets)} detections, "
-        f"best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"
+        f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
+        f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"
     )
 
 

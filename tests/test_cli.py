@@ -201,6 +201,9 @@ def test_pipeline_end_to_end(tmp_path):
 
 @pytest.mark.parametrize("case, message", [
     ("zero-weights", "degenerate weights"),
+    ("weights-square-underflows", "degenerate weights"),
+    ("weights-square-overflows", "degenerate weights"),
+    ("weights-step-overflows", "degenerate weights"),
     ("weights-shape", "shape (24, 23)"),
     ("weights-nan", "non-finite"),
     ("infeasible-scene", "could not place"),
@@ -212,6 +215,9 @@ def test_pipeline_checks_run_inputs_before_writing(tmp_path, capsys, case, messa
     codec.write_tensor(tmp_path / "w.f64t", w)
     overrides = {
         "zero-weights": {"weights": {"uniform": 0.0}},
+        "weights-square-underflows": {"weights": {"uniform": 1e-200}},
+        "weights-square-overflows": {"weights": {"uniform": 1e160}},
+        "weights-step-overflows": {"weights": {"uniform": 1e-155}},
         "weights-shape": {"weights": {"file": str(tmp_path / "w.f64t")}},
         "weights-nan": {"weights": {"file": str(tmp_path / "w.f64t")}},
         "infeasible-scene": {"scene": {"rows": 4, "cols": 4, "n_sources": 10,
@@ -400,7 +406,9 @@ def test_solve_trace_matches_result(tmp_path, capsys):
         "solve", "--config", cfg, "--obs", str(out / "d_obs.f64t"),
         "--out", str(out / "a_opt.f64t"), "--trace", str(out / "trace.csv"),
     ]) == 0
-    iterations = int(capsys.readouterr().out.split()[2])
+    stdout = capsys.readouterr().out
+    assert " restarts (final rel change " in stdout
+    iterations = int(stdout.split()[2])
     rows = (out / "trace.csv").read_text().splitlines()
     assert rows[0] == "iteration,objective"
     assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, iterations + 1))

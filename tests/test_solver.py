@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spotdeconv import solver
 from spotdeconv.convolution import adjoint, forward
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import (
@@ -315,3 +318,102 @@ def test_progress_gets_accepted_iterate():
     )
     assert last["i"] == res.iterations
     np.testing.assert_array_equal(last["a"], res.a_opt)
+
+
+def _random_problem(seed, shape=(9, 8), depth=2):
+    rng = np.random.default_rng(seed)
+    bank = build_kernel_bank(make_scale_grid(float(rng.uniform(1.0, 2.0)), depth))
+    a_true = np.zeros(shape + (depth,))
+    for _ in range(3):
+        a_true[tuple(rng.integers(0, s) for s in a_true.shape)] = rng.uniform(1.0, 3.0)
+    d_obs = forward(a_true, bank) + 0.05 * rng.standard_normal(shape)
+    return bank, d_obs, rng.uniform(0.5, 1.5, size=shape), float(rng.uniform(0.01, 0.2))
+
+
+@pytest.mark.parametrize("momentum", [BECK, CHAMBOLLE])
+@pytest.mark.parametrize("seed", range(5))
+def test_restart_reaches_ista_objective(seed, momentum):
+    bank, d_obs, w, lam = _random_problem(seed)
+    objs = []
+    for scheme in [momentum, NO_MOMENTUM]:
+        cfg = SolverConfig(lam=lam, weights=w, momentum=scheme, max_iters=20000, rel_tol=1e-10)
+        res = apg_solve(d_obs, bank, cfg)
+        assert res.iterations < cfg.max_iters
+        objs.append(objective(res.a_opt, d_obs, w, bank, lam))
+    assert objs[0] == pytest.approx(objs[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("momentum", [BECK, CHAMBOLLE])
+def test_restart_starts_the_momentum_again(monkeypatch, momentum):
+    calls = []
+
+    def recorded(scheme, i, state=None, chambolle_a=3.0):
+        calls.append((i, state))
+        return momentum_alpha(scheme, i, state, chambolle_a)
+
+    monkeypatch.setattr(solver, "momentum_alpha", recorded)
+    bank, d_obs, w, lam = _random_problem(7, shape=(16, 16))
+    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, momentum=momentum))
+    assert res.restarts > 0
+    assert len(calls) == res.iterations
+    assert calls.count((1, None)) == res.restarts + 1
+
+
+def test_no_momentum_never_restarts():
+    bank, d_obs, w, lam = _random_problem(8)
+    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, momentum=NO_MOMENTUM,
+                                              max_iters=300))
+    assert res.restarts == 0
+
+
+def test_objectives_match_objective_of_each_iterate():
+    # On this problem the shrink's norms and group_norm_image() differ in
+    # the last bit of the final objective.
+    bank, d_obs, w, lam = _random_problem(14)
+    want = []
+    res = apg_solve(
+        d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=200),
+        progress=lambda i, rel, a: want.append(objective(a, d_obs, w, bank, lam)),
+    )
+    assert res.restarts > 0
+    assert len(res.objectives) == len(want) == res.iterations
+    np.testing.assert_allclose(res.objectives, want, rtol=1e-12, atol=0)
+    assert res.objectives[-1] == objective(res.a_opt, d_obs, w, bank, lam)
+
+
+def test_progress_arrays_are_never_written():
+    bank, d_obs, w, lam = _random_problem(12)
+    seen = []
+    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=300),
+                    progress=lambda i, rel, a: seen.append((a, a.copy())))
+    assert res.restarts > 0
+    for handed, snapshot in seen:
+        np.testing.assert_array_equal(handed, snapshot)
+
+
+def test_one_forward_per_iteration(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "forward", counted)
+    bank, d_obs, w, lam = _random_problem(10)
+    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=60))
+    assert len(calls) <= res.iterations + 1
+
+
+def test_peak_memory_at_most_six_volumes():
+    bank = build_kernel_bank(make_scale_grid(1.5, 4))
+    rng = np.random.default_rng(11)
+    a_true = np.where(rng.uniform(size=(128, 128, 4)) < 0.002, 2.0, 0.0)
+    d_obs = forward(a_true, bank)
+    cfg = SolverConfig(lam=0.05, weights=np.ones(d_obs.shape), max_iters=20)
+    tracemalloc.start()
+    try:
+        apg_solve(d_obs, bank, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * a_true.nbytes
