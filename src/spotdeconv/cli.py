@@ -276,6 +276,14 @@ def run_evaluate(dets, gt, tol, report_path, sweep_path):
     return report
 
 
+def _print_cap(cfg, result):
+    if not result.converged:
+        print(
+            f"not converged: hit max_iters = {cfg.max_iters} with rel change "
+            f"{result.final_rel_change:.3e} > rel_tol {cfg.rel_tol:g}"
+        )
+
+
 def _cmd_synth(args):
     cfg = load_config(args.config)
     run_synth(cfg, _kernel_bank(cfg), args.out_dir)
@@ -292,6 +300,7 @@ def _cmd_solve(args):
         f"solved in {result.iterations} iterations, {result.restarts} restarts "
         f"(final rel change {result.final_rel_change:.3e})"
     )
+    _print_cap(cfg, result)
 
 
 def _cmd_detect(args):
@@ -332,6 +341,7 @@ def _cmd_pipeline(args):
         f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
         f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"
     )
+    _print_cap(cfg, result)
 
 
 def build_parser():

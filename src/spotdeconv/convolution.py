@@ -4,22 +4,69 @@ forward() maps a (M, N, K) volume to an (M, N) image by convolving each
 slice with its rank-1 kernel and summing over k in fixed order. adjoint()
 is implemented as correlation (the true adjoint of zero-padded convolution)
 even though the symmetric taps make it numerically equal to convolution.
+
+Each 1-D pass is a product with the n x n banded Toeplitz matrix of the
+taps (radius R). Every block of BLOCK rows of that matrix holds the same
+BLOCK x (BLOCK + 2R) band block, so the pass is one BLAS GEMM per row
+block, with the band's columns clipped to the image: the clipping is the
+zero padding. A pass over an M x N image costs O(M * N * (BLOCK + 2R))
+flops. The correlation band holds the reversed taps, i.e. it is the exact
+transpose, so adjoint() stays the true adjoint for asymmetric taps too.
+Outputs differ from a direct tap-by-tap sum only by round-off, because
+GEMM adds the same products in another order.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.ndimage import convolve1d, correlate1d
+
+# Rows per GEMM. Of 16, 32, 64 and 128, 32 gave the fastest forward + adjoint
+# at 64^2 and 128^2 on a 2-core host, and tied with 16 and 64 at 256^2.
+BLOCK = 32
+
+
+@lru_cache(maxsize=64)
+def _band(taps_bytes, correlate):
+    """BLOCK x (BLOCK + 2R) band block: row r holds the taps (reversed for
+    convolution) in columns r .. r + 2R. Built once per tap vector."""
+    taps = np.frombuffer(taps_bytes)
+    if not correlate:
+        taps = taps[::-1]
+    band = np.zeros((BLOCK, BLOCK + len(taps) - 1))
+    for r in range(BLOCK):
+        band[r, r : r + len(taps)] = taps
+    band.flags.writeable = False  # shared by every caller through the cache
+    return band
+
+
+def _separable(img, taps, correlate):
+    """Zero-padded 1-D pass along axis 0, then along axis 1, as GEMMs."""
+    band = _band(np.asarray(taps, dtype=np.float64).tobytes(), correlate)
+    radius = (len(taps) - 1) // 2
+    x = np.ascontiguousarray(img, dtype=np.float64)
+    tmp = np.empty_like(x)
+    out = np.empty_like(x)
+    rows, cols = x.shape
+    for i0 in range(0, rows, BLOCK):
+        b = min(BLOCK, rows - i0)
+        lo, hi = max(i0 - radius, 0), min(i0 + b + radius, rows)
+        np.matmul(band[:b, lo - i0 + radius : hi - i0 + radius], x[lo:hi], out=tmp[i0 : i0 + b])
+    # The same product on transposed views: out.T = T @ tmp.T.
+    for j0 in range(0, cols, BLOCK):
+        b = min(BLOCK, cols - j0)
+        lo, hi = max(j0 - radius, 0), min(j0 + b + radius, cols)
+        np.matmul(tmp[:, lo:hi], band[:b, lo - j0 + radius : hi - j0 + radius].T, out=out[:, j0 : j0 + b])
+    return out
 
 
 def conv_same_2d(img, factor):
     """Separable 2-D convolution with the rank-1 kernel factor x factor."""
-    out = convolve1d(img, factor.taps, axis=0, mode="constant", cval=0.0)
-    return convolve1d(out, factor.taps, axis=1, mode="constant", cval=0.0)
+    return _separable(img, factor.taps, correlate=False)
 
 
 def corr_same_2d(img, factor):
     """Separable 2-D correlation; adjoint of conv_same_2d under zero padding."""
-    out = correlate1d(img, factor.taps, axis=0, mode="constant", cval=0.0)
-    return correlate1d(out, factor.taps, axis=1, mode="constant", cval=0.0)
+    return _separable(img, factor.taps, correlate=True)
 
 
 def forward(a, bank):

@@ -69,6 +69,7 @@ class SolveResult:
     final_rel_change: float
     objectives: list[float]  # objectives[i - 1] = objective(iterate after iteration i)
     restarts: int  # momentum restarts (gradient scheme)
+    converged: bool  # final_rel_change <= rel_tol; False when max_iters stopped the run
 
 
 def step_size(sigma_max_pixels, w):
@@ -141,7 +142,8 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
 
     progress(i, rel_change, a), if given, is called after each iteration i
     with the accepted iterate a, which it must not modify. The result holds
-    the objective after each iteration and the number of momentum restarts.
+    the objective after each iteration, the number of momentum restarts and
+    whether the run converged or hit max_iters.
     """
     m, n = d_obs.shape
     depth = bank.num_kernels
@@ -197,4 +199,5 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     # The reported final objective sums the same group norms as objective().
     objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a)))
     return SolveResult(a_opt=a, iterations=i, final_rel_change=float(rel_change),
-                       objectives=objectives, restarts=restarts)
+                       objectives=objectives, restarts=restarts,
+                       converged=bool(rel_change <= cfg.rel_tol))

@@ -1,37 +1,68 @@
 """Independent brute-force reference implementations used by the tests.
 
 These deliberately avoid the library's separable/vectorized code paths:
-dense nested-loop convolution, an explicitly constructed operator matrix,
+dense nested-loop convolution, scipy.ndimage 1-D passes in place of the
+library's band-block GEMMs, an explicitly constructed operator matrix,
 a scalar-by-scalar objective, grid/ternary minimizers, a threshold
 sweep that re-matches from scratch at every threshold, and a per-pixel
 flood-fill regional-maxima detector.
 """
 
+import math
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
+from scipy.ndimage import convolve1d, correlate1d
 
 from spotdeconv.detection import Detection
 
 
 def dense_conv2d(img, taps):
-    """Direct O(M*N*(2R+1)^2) zero-padded convolution with taps x taps.
+    """Direct O(M*N*(2R+1)^2) zero-padded convolution with taps x taps."""
+    img = np.asarray(img, dtype=np.float64)
+    flat = _dense_conv2d_flat(img.ravel().tolist(), [float(t) for t in taps], *img.shape)
+    return np.array(flat, dtype=np.float64).reshape(img.shape)
 
-    The u/v loops visit only the taps that land inside the image, in the
-    same ascending order as a full loop with a bounds check.
-    """
+
+def ndimage_conv2d(img, taps, correlate=False):
+    """Zero-padded separable convolution (correlation if `correlate`) with
+    taps x taps by two scipy.ndimage 1-D passes: tap-by-tap sums, no GEMM."""
+    pass_1d = correlate1d if correlate else convolve1d
+    out = pass_1d(img, taps, axis=0, mode="constant", cval=0.0)
+    return pass_1d(out, taps, axis=1, mode="constant", cval=0.0)
+
+
+@lru_cache(maxsize=16)
+def _conv_terms(taps, rows, cols):
+    """Per output pixel, in raster order, the (taps[u] * taps[v], raster
+    index of pixel (m - u, n - v)) pairs of the taps that land inside the
+    image, u-major and v ascending, as a full loop with a bounds check
+    visits them."""
     radius = (len(taps) - 1) // 2
-    rows, cols = img.shape
-    taps = [float(t) for t in taps]
-    pix = np.asarray(img).tolist()
-    out = np.zeros_like(img, dtype=np.float64)
-    for m in range(rows):
-        for n in range(cols):
-            acc = 0.0
-            for u in range(max(-radius, m - rows + 1), min(radius, m) + 1):
-                for v in range(max(-radius, n - cols + 1), min(radius, n) + 1):
-                    acc += taps[u + radius] * taps[v + radius] * pix[m - u][n - v]
-            out[m, n] = acc
+    return [
+        [
+            (taps[u + radius] * taps[v + radius], (m - u) * cols + (n - v))
+            for u in range(max(-radius, m - rows + 1), min(radius, m) + 1)
+            for v in range(max(-radius, n - cols + 1), min(radius, n) + 1)
+        ]
+        for m in range(rows)
+        for n in range(cols)
+    ]
+
+
+def _dense_conv2d_flat(pix, taps, rows, cols):
+    """dense_conv2d on a raster-order list of floats; returns one too.
+
+    Pixel (m, n) is the sum of taps[u] * taps[v] times pixel (m - u, n - v),
+    added one term at a time in the order _conv_terms lists them.
+    """
+    out = []
+    for terms in _conv_terms(tuple(taps), rows, cols):
+        acc = 0.0
+        for weight, index in terms:
+            acc += weight * pix[index]
+        out.append(acc)
     return out
 
 
@@ -55,19 +86,28 @@ def operator_matrix(bank, rows, cols):
 
 
 def naive_objective(a, d_obs, w, bank, lam):
-    """Scalar-by-scalar recomputation of the solver objective."""
+    """Scalar-by-scalar recomputation of the solver objective.
+
+    The arrays become raster-order lists of Python floats once, so each
+    term is a float operation rather than a numpy scalar one; the terms and
+    their order are those of the per-pixel formula.
+    """
     rows, cols, depth = a.shape
-    fwd = np.zeros((rows, cols))
+    vol = np.asarray(a, dtype=np.float64).reshape(rows * cols, depth).tolist()
+    fwd = [0.0] * (rows * cols)
     for k in range(depth):
-        fwd += dense_conv2d(a[:, :, k], bank.factors[k].taps)
+        taps = [float(t) for t in bank.factors[k].taps]
+        conv = _dense_conv2d_flat([v[k] for v in vol], taps, rows, cols)
+        fwd = [f + c for f, c in zip(fwd, conv)]
     fidelity = 0.0
-    for m in range(rows):
-        for n in range(cols):
-            fidelity += (w[m, n] * (d_obs[m, n] - fwd[m, n])) ** 2
+    for wi, di, fi in zip(np.ravel(w).tolist(), np.ravel(d_obs).tolist(), fwd):
+        fidelity += (wi * (di - fi)) ** 2
     group = 0.0
-    for m in range(rows):
-        for n in range(cols):
-            group += np.sqrt(sum(a[m, n, k] ** 2 for k in range(depth)))
+    for values in vol:
+        sq = 0.0
+        for x in values:
+            sq += x**2
+        group += math.sqrt(sq)
     return fidelity + lam * group
 
 

@@ -433,3 +433,36 @@ def test_solve_rejects_non_finite_input(tmp_path, capsys, which):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(obs_path if which == "obs" else w_path) in err and "non-finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_capped_run_reports_not_converged(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, max_iters=3)
+    out = tmp_path / "run"
+    if command == "solve":
+        main(["synth", "--config", cfg, "--out-dir", str(out)])
+        capsys.readouterr()
+        argv = ["solve", "--config", cfg, "--obs", str(out / "d_obs.f64t"),
+                "--out", str(out / "a_opt.f64t")]
+    else:
+        argv = ["pipeline", "--config", cfg, "--out-dir", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert " 3 iterations, " in lines[0]
+    assert lines[1].startswith("not converged: hit max_iters = 3 with rel change ")
+    assert len(lines) == 2
+    run_cfg = load_config(cfg)
+    d_obs = codec.read_tensor(out / "d_obs.f64t")
+    result = cli.run_solve(run_cfg, cli._kernel_bank(run_cfg), np.ones(d_obs.shape), d_obs, None)
+    assert result.iterations == 3 and result.converged is False
+
+
+def test_demo_run_converges(tmp_path, capsys):
+    cfg = load_config(DEMO_CONFIG)
+    bank = cli._kernel_bank(cfg)
+    d_obs, _ = cli.run_synth(cfg, bank, tmp_path / "demo")
+    result = cli.run_solve(cfg, bank, cli._weights_image(cfg, d_obs.shape), d_obs, None)
+    assert result.converged is True
+    assert result.iterations < cfg.max_iters
+    assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(tmp_path / "pipe")]) == 0
+    assert "not converged" not in capsys.readouterr().out

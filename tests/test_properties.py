@@ -3,12 +3,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from spotdeconv.convolution import adjoint, conv_same_2d, corr_same_2d, forward
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
+from spotdeconv.kernels import Kernel1D, KernelBank, make_scale_grid
 from spotdeconv.solver import prox_group
 from spotdeconv.tensors import group_norm_image, project_nonneg
 
-from oracles import reference_match, reference_regional_maxima, reference_threshold_sweep
+from oracles import (
+    dense_conv2d,
+    ndimage_conv2d,
+    reference_match,
+    reference_regional_maxima,
+    reference_threshold_sweep,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -103,3 +111,49 @@ level_images = arrays(
 @example(np.full((3, 4), 0.5))
 def test_regional_maxima_equals_reference(p):
     assert regional_maxima(p) == reference_regional_maxima(p)
+
+
+# Image sides on both sides of the 32-row GEMM block, and anything up to 70.
+sides = st.one_of(st.sampled_from([1, 2, 31, 32, 33, 64, 65]), st.integers(1, 70))
+
+
+def _taps(rng, radius, symmetric):
+    taps = rng.uniform(-1.0, 1.0, 2 * radius + 1)
+    return 0.5 * (taps + taps[::-1]) if symmetric else taps
+
+
+@settings(max_examples=150, deadline=None)
+@given(sides, sides, st.integers(0, 11), st.booleans(), st.integers(0, 2**32 - 1))
+@example(2, 2, 11, False, 0)  # image smaller than the radius
+@example(1, 65, 5, False, 1)
+@example(65, 1, 5, True, 2)
+@example(33, 64, 11, False, 3)
+@example(32, 31, 0, False, 4)
+@example(64, 65, 8, True, 5)
+def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    taps = _taps(rng, radius, symmetric)
+    factor = Kernel1D(taps)
+    img = rng.standard_normal((rows, cols, 3))[:, :, 1]  # a strided slice, as forward() passes
+    scale = np.sum(np.abs(taps)) ** 2 * np.max(np.abs(img))
+    conv, corr = conv_same_2d(img, factor), corr_same_2d(img, factor)
+    refs = [(conv, ndimage_conv2d(img, taps)), (corr, ndimage_conv2d(img, taps, correlate=True))]
+    if rows * cols <= 300:
+        refs += [(conv, dense_conv2d(img, taps)), (corr, dense_conv2d(img, taps[::-1]))]
+    for got, ref in refs:
+        assert got.shape == img.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 11), min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+def test_forward_adjoint_inner_product(radii, seed):
+    rng = np.random.default_rng(seed)
+    factors = tuple(Kernel1D(_taps(rng, radius, symmetric=False)) for radius in radii)
+    bank = KernelBank(grid=make_scale_grid(3.0, len(factors)), factors=factors)
+    a = rng.standard_normal((65, 33, 4))
+    r = rng.standard_normal((65, 33))
+    lhs = np.vdot(forward(a, bank), r)
+    rhs = np.vdot(a, adjoint(r, bank))
+    norm = sum(np.sum(np.abs(f.taps)) ** 2 for f in factors)  # bounds the operator norm
+    assert abs(lhs - rhs) <= 1e-12 * norm * np.linalg.norm(a) * np.linalg.norm(r)
