@@ -393,6 +393,9 @@ def main(argv=None):
     except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,6 +5,13 @@ slice with its rank-1 kernel and summing over k in fixed order. adjoint()
 is implemented as correlation (the true adjoint of zero-padded convolution)
 even though the symmetric taps make it numerically equal to convolution.
 
+Both work one contiguous (M, N) slice at a time. forward() copies a slice
+only when the volume does not hold it contiguously: a C-order (M, N, K)
+volume costs K gathers, the (M, N, K) view np.moveaxis(v, 0, 2) of a
+C-order (K, M, N) array costs none. adjoint() writes slice k straight into
+plane k of a C-order (K, M, N) buffer and returns the (M, N, K) view of
+it, so np.moveaxis(adjoint(r, bank), 2, 0) is that buffer's layout again.
+
 Each 1-D pass is a product with the n x n banded Toeplitz matrix of the
 taps (radius R). Every block of BLOCK rows of that matrix holds the same
 BLOCK x (BLOCK + 2R) band block, so the pass is one BLAS GEMM per row
@@ -39,13 +46,15 @@ def _band(taps_bytes, correlate):
     return band
 
 
-def _separable(img, taps, correlate):
-    """Zero-padded 1-D pass along axis 0, then along axis 1, as GEMMs."""
+def _separable(img, taps, correlate, out=None):
+    """Zero-padded 1-D pass along axis 0, then along axis 1, as GEMMs.
+    The second pass writes into `out`, a C-contiguous image, if given."""
     band = _band(np.asarray(taps, dtype=np.float64).tobytes(), correlate)
     radius = (len(taps) - 1) // 2
     x = np.ascontiguousarray(img, dtype=np.float64)
     tmp = np.empty_like(x)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     rows, cols = x.shape
     for i0 in range(0, rows, BLOCK):
         b = min(BLOCK, rows - i0)
@@ -83,8 +92,9 @@ def forward(a, bank):
 
 
 def adjoint(r, bank):
-    """Adjoint of forward(): slice k is the correlation of r with kernel k."""
-    out = np.empty(r.shape + (bank.num_kernels,))
+    """Adjoint of forward(): slice k is the correlation of r with kernel k.
+    Returns the (M, N, K) view of a C-contiguous (K, M, N) array."""
+    out = np.empty((bank.num_kernels,) + r.shape)
     for k, factor in enumerate(bank.factors):
-        out[:, :, k] = corr_same_2d(r, factor)
-    return out
+        _separable(r, factor.taps, correlate=True, out=out[k])
+    return np.moveaxis(out, 0, 2)

@@ -17,6 +17,13 @@ norms of the shrink also give the objective of each iterate, which lands
 in SolveResult.objectives at no extra convolution. The last value is
 computed as objective() computes it, so it equals objective(a_opt).
 
+The loop holds its volumes slice-major, as C-contiguous (K, M, N) arrays,
+because forward() and adjoint() work one scale slice at a time: it hands
+forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose slices need no
+copy, and takes adjoint()'s (K, M, N) buffer as the next iterate. The
+shrink then sums K contiguous planes. a0 and progress() see (M, N, K)
+arrays, and a_opt is a C-contiguous (M, N, K) copy made once per solve.
+
 The one other exit is divergence: a non-finite iterate raises
 FloatingPointError. Diagnostics come from the `progress` hook.
 
@@ -33,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .convolution import adjoint, forward
-from .tensors import frobenius_norm, group_norm_image, project_nonneg
+from .tensors import frobenius_norm, group_norm_image
 
 BECK = "beck"
 CHAMBOLLE = "chambolle"
@@ -105,12 +112,13 @@ def momentum_alpha(scheme, i, state=None, chambolle_a=3.0):
 
 
 def _shrink(v, kappa):
-    """prox_group in place on v. Returns the regularizer sum_{m,n} ||v[m,n,:]||
-    of the result, which is sum max(rho - kappa, 0) over the input norms rho."""
-    rho = np.sqrt(np.einsum("mnk,mnk->mn", v, v))
+    """prox_group in place on a (K, M, N) volume v. Returns the regularizer
+    sum_{m,n} ||v[:,m,n]|| of the result, which is sum max(rho - kappa, 0)
+    over the input norms rho."""
+    rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(rho > 0.0, np.maximum(0.0, 1.0 - kappa / rho), 0.0)
-    v *= factor[:, :, None]
+    v *= factor
     return float(np.sum(np.maximum(rho - kappa, 0.0)))
 
 
@@ -122,7 +130,7 @@ def prox_group(v, kappa):
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     out = np.array(v, dtype=np.float64)
-    _shrink(out, kappa)
+    _shrink(np.moveaxis(out, 2, 0), kappa)
     return out
 
 
@@ -141,9 +149,10 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     Frobenius change of the iterate drops below cfg.rel_tol or max_iters hits.
 
     progress(i, rel_change, a), if given, is called after each iteration i
-    with the accepted iterate a, which it must not modify. The result holds
-    the objective after each iteration, the number of momentum restarts and
-    whether the run converged or hit max_iters.
+    with the accepted iterate a, an (M, N, K) view of the loop's (K, M, N)
+    array, which it must not modify. The result holds the objective after
+    each iteration, the number of momentum restarts and whether the run
+    converged or hit max_iters.
     """
     m, n = d_obs.shape
     depth = bank.num_kernels
@@ -155,18 +164,22 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     w2 = cfg.weights * cfg.weights
     kappa = 0.5 * eta * cfg.lam
 
-    a = np.zeros((m, n, depth)) if a0 is None else project_nonneg(np.array(a0, dtype=np.float64))
-    if a.shape != (m, n, depth):
-        raise ValueError(f"a0 shape {a.shape} does not match problem {(m, n, depth)}")
+    if a0 is None:
+        a = np.zeros((depth, m, n))
+    else:
+        a0 = np.asarray(a0, dtype=np.float64)
+        if a0.shape != (m, n, depth):
+            raise ValueError(f"a0 shape {a0.shape} does not match problem {(m, n, depth)}")
+        a = np.maximum(np.moveaxis(a0, 2, 0), 0.0, order="C")
     b = a.copy()  # its own buffer: the loop writes b in place, never a
-    fa = fb = forward(a, bank)
+    fa = fb = forward(np.moveaxis(a, 0, 2), bank)
 
     objectives = []
     restarts = start = 0
     mom_state = None
     for i in range(1, cfg.max_iters + 1):
         # Steps 1-3 in place on the volume that adjoint() returns.
-        a_new = adjoint(w2 * (fb - d_obs), bank)
+        a_new = np.moveaxis(adjoint(w2 * (fb - d_obs), bank), 2, 0)
         a_new *= -eta
         a_new += b
         np.maximum(a_new, 0.0, out=a_new)
@@ -184,20 +197,22 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
         b += a_new
         del diff  # before forward(): at most four volumes are alive, a, b, a_new, diff
 
-        fa_new = forward(a_new, bank)
+        fa_new = forward(np.moveaxis(a_new, 0, 2), bank)
         fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
         fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
         objectives.append(float(fidelity + cfg.lam * regularizer))
         # The hook comes after the extrapolation, which writes only b: it
         # gets a_new, and the loop never writes a_new (then a) again.
         if progress is not None:
-            progress(i, rel_change, a_new)
+            progress(i, rel_change, np.moveaxis(a_new, 0, 2))
         a, fa = a_new, fa_new
         if rel_change <= cfg.rel_tol:
             break
 
+    del b  # group_norm_image(a_opt) below squares a whole volume
+    a_opt = np.moveaxis(a, 0, 2).copy()  # C order
     # The reported final objective sums the same group norms as objective().
-    objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a)))
-    return SolveResult(a_opt=a, iterations=i, final_rel_change=float(rel_change),
+    objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))
+    return SolveResult(a_opt=a_opt, iterations=i, final_rel_change=float(rel_change),
                        objectives=objectives, restarts=restarts,
                        converged=bool(rel_change <= cfg.rel_tol))

@@ -1,8 +1,9 @@
 """Dense 2-D/3-D array helpers.
 
-Images are (M, N) float64 arrays, volumes are (M, N, K) float64 arrays with
-k the fastest-varying axis. Constructor-style validators check finiteness
-once; the numeric kernels below assume validated inputs.
+Images are (M, N) float64 arrays, volumes are (M, N, K) float64 arrays.
+Files and a_opt store k as the fastest-varying axis; the solver's loop
+holds its volumes slice-major (see solver). Constructor-style validators
+check finiteness once; the numeric kernels below assume validated inputs.
 """
 
 import numpy as np

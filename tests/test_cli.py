@@ -466,3 +466,18 @@ def test_demo_run_converges(tmp_path, capsys):
     assert result.iterations < cfg.max_iters
     assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(tmp_path / "pipe")]) == 0
     assert "not converged" not in capsys.readouterr().out
+
+
+def test_pipeline_too_large_scene_exit_code(tmp_path, capsys):
+    # numpy refuses the 728 TiB weights image before allocating anything.
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    cfg["scene"].update(rows=10**7, cols=10**7)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "p"
+    rc = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: out of memory: ")
+    assert not out.exists()

@@ -139,3 +139,26 @@ def test_correlation_is_true_adjoint_for_asymmetric_taps():
     lhs = np.vdot(conv_same_2d(img, factor), r)
     rhs = np.vdot(img, corr_same_2d(r, factor))
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_forward_does_not_depend_on_volume_layout():
+    # 40 x 37 spans two row and two column blocks of the GEMM passes.
+    bank = build_kernel_bank(make_scale_grid(2.0, 3))
+    rng = np.random.default_rng(18)
+    big = rng.standard_normal((80, 41, 5))
+    strided = big[::2, 2:39, 1:4]  # not contiguous in any axis order
+    c_order = np.ascontiguousarray(strided)
+    slice_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(strided, 2, 0)), 0, 2)
+    want = forward(c_order, bank)
+    np.testing.assert_array_equal(forward(slice_major, bank), want)
+    np.testing.assert_array_equal(forward(strided, bank), want)
+
+
+def test_adjoint_slices_are_contiguous_correlations():
+    bank = build_kernel_bank(make_scale_grid(2.0, 3))
+    r = np.random.default_rng(19).standard_normal((40, 37))
+    vol = adjoint(r, bank)
+    assert vol.shape == (40, 37, 3)
+    assert np.moveaxis(vol, 2, 0).flags.c_contiguous
+    for k, factor in enumerate(bank.factors):
+        np.testing.assert_array_equal(vol[:, :, k], corr_same_2d(r, factor))
