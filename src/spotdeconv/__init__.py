@@ -7,7 +7,7 @@ from .evaluation import EvalReport, best_threshold, match, prf1
 from .kernels import KernelBank, build_kernel_bank, make_scale_grid
 from .solver import SolveResult, SolverConfig, apg_solve, objective, prox_group, step_size
 from .synth import SceneSpec, generate_scene, render_observation
-from .tensors import group_norm_image, project_nonneg
+from .tensors import group_norm_image
 
 __all__ = [
     "Detection",
@@ -29,7 +29,6 @@ __all__ = [
     "match",
     "objective",
     "prf1",
-    "project_nonneg",
     "prox_group",
     "regional_maxima",
     "render_observation",

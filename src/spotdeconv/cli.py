@@ -161,7 +161,7 @@ def _kernel_bank(cfg):
 
 
 def _read_checked(path, check):
-    """Read a tensor file and validate it with `check`; a failure names the file."""
+    """Read a tensor file and pass it through `check`; a failure names the file."""
     try:
         return check(codec.read_tensor(path))
     except ValueError as exc:
@@ -304,7 +304,7 @@ def _cmd_solve(args):
 
 
 def _cmd_detect(args):
-    dets = detect(_read_checked(args.volume, as_volume))
+    dets = _read_checked(args.volume, lambda vol: detect(as_volume(vol)))
     codec.write_detections_csv(args.out, dets)
     print(f"{len(dets)} detections written to {args.out}")
 

@@ -13,14 +13,14 @@ plane k of a C-order (K, M, N) buffer and returns the (M, N, K) view of
 it, so np.moveaxis(adjoint(r, bank), 2, 0) is that buffer's layout again.
 
 Each 1-D pass is a product with the n x n banded Toeplitz matrix of the
-taps (radius R). Every block of BLOCK rows of that matrix holds the same
-BLOCK x (BLOCK + 2R) band block, so the pass is one BLAS GEMM per row
-block, with the band's columns clipped to the image: the clipping is the
-zero padding. A pass over an M x N image costs O(M * N * (BLOCK + 2R))
-flops. The correlation band holds the reversed taps, i.e. it is the exact
-transpose, so adjoint() stays the true adjoint for asymmetric taps too.
-Outputs differ from a direct tap-by-tap sum only by round-off, because
-GEMM adds the same products in another order.
+taps (radius R): one BLAS GEMM per BLOCK rows, all with the same
+BLOCK x (BLOCK + 2R) band block, its columns clipped to the image (the
+zero padding). One pass function serves both axes: the column pass is
+the row pass on the transposed views. A pass over an M x N image costs
+O(M * N * (BLOCK + 2R)) flops. The correlation band holds the reversed
+taps, i.e. the exact transpose, so adjoint() stays the true adjoint for
+asymmetric taps too. GEMM adds a tap-by-tap sum's products in another
+order, so the two differ by round-off only.
 """
 
 from functools import lru_cache
@@ -46,25 +46,26 @@ def _band(taps_bytes, correlate):
     return band
 
 
+def _pass(band, radius, src, dst):
+    """dst = T @ src for the taps' banded Toeplitz matrix T: a GEMM per BLOCK rows."""
+    rows = src.shape[0]
+    for i0 in range(0, rows, BLOCK):
+        b = min(BLOCK, rows - i0)
+        lo, hi = max(i0 - radius, 0), min(i0 + b + radius, rows)
+        np.matmul(band[:b, lo - i0 + radius : hi - i0 + radius], src[lo:hi], out=dst[i0 : i0 + b])
+
+
 def _separable(img, taps, correlate, out=None):
-    """Zero-padded 1-D pass along axis 0, then along axis 1, as GEMMs.
-    The second pass writes into `out`, a C-contiguous image, if given."""
+    """Zero-padded 1-D pass along axis 0, then the same pass along axis 1 on
+    the transposed views. Writes into `out`, a C-contiguous image, if given."""
     band = _band(np.asarray(taps, dtype=np.float64).tobytes(), correlate)
     radius = (len(taps) - 1) // 2
     x = np.ascontiguousarray(img, dtype=np.float64)
     tmp = np.empty_like(x)
     if out is None:
         out = np.empty_like(x)
-    rows, cols = x.shape
-    for i0 in range(0, rows, BLOCK):
-        b = min(BLOCK, rows - i0)
-        lo, hi = max(i0 - radius, 0), min(i0 + b + radius, rows)
-        np.matmul(band[:b, lo - i0 + radius : hi - i0 + radius], x[lo:hi], out=tmp[i0 : i0 + b])
-    # The same product on transposed views: out.T = T @ tmp.T.
-    for j0 in range(0, cols, BLOCK):
-        b = min(BLOCK, cols - j0)
-        lo, hi = max(j0 - radius, 0), min(j0 + b + radius, cols)
-        np.matmul(tmp[:, lo:hi], band[:b, lo - j0 + radius : hi - j0 + radius].T, out=out[:, j0 : j0 + b])
+    _pass(band, radius, x, tmp)
+    _pass(band, radius, tmp.T, out.T)
     return out
 
 

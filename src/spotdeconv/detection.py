@@ -10,7 +10,7 @@ Maxima are found in O(M*N) array passes: a 3x3 max filter marks the pixels
 that are >= every neighbor, 8-connected labelling groups them, a component
 is dropped when it touches an unmarked pixel of its own value (the rest of
 its plateau rises above it somewhere), and centroids come from bincount.
-The map must be finite; `spotdeconv detect` rejects a volume that is not.
+The map must be finite: detect() rejects a volume whose group norms overflow.
 """
 
 from dataclasses import dataclass
@@ -76,5 +76,9 @@ def regional_maxima(p):
 
 
 def detect(a):
-    """Full detector: group-norm map, then regional maxima."""
-    return regional_maxima(group_norm_image(a))
+    """Full detector: group-norm map, then regional maxima. ValueError if not finite."""
+    with np.errstate(over="ignore"):
+        p = group_norm_image(a)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("a group norm is not finite: a value is, or its square overflows float64")
+    return regional_maxima(p)

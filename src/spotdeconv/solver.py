@@ -11,21 +11,24 @@ steps from the extrapolated point b:
 4. a momentum extrapolation b = a_new + alpha * (a_new - a), with
    alpha = 0 on a restart, i.e. when <b - a_new, a_new - a> > 0.
 
-forward() is linear, so the loop carries A.a and forms A.b from it: one
-forward() and one adjoint() per iteration. That forward() and the group
-norms of the shrink also give the objective of each iterate, which lands
-in SolveResult.objectives at no extra convolution. The last value is
-computed as objective() computes it, so it equals objective(a_opt).
+The loop starts from a = 0, so A.a = 0. forward() is linear, so the loop
+carries A.a and forms A.b from it: one forward() and one adjoint() per
+iteration. That forward() and the group norms of the shrink also give
+the objective of each iterate, which lands in SolveResult.objectives at
+no extra convolution. The last value is computed as objective() computes
+it, so it equals objective(a_opt).
 
 The loop holds its volumes slice-major, as C-contiguous (K, M, N) arrays,
 because forward() and adjoint() work one scale slice at a time: it hands
 forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose slices need no
 copy, and takes adjoint()'s (K, M, N) buffer as the next iterate. The
-shrink then sums K contiguous planes. a0 and progress() see (M, N, K)
-arrays, and a_opt is a C-contiguous (M, N, K) copy made once per solve.
+shrink then sums K contiguous planes. progress() sees (M, N, K) views,
+and a_opt is a C-contiguous (M, N, K) copy made once per solve.
 
-The one other exit is divergence: a non-finite iterate raises
-FloatingPointError. Diagnostics come from the `progress` hook.
+The one other exit is overflow: a non-finite objective or relative change
+raises FloatingPointError. A non-finite iterate entry makes its group
+norm, and so the objective, non-finite, so this one scalar check per
+iteration catches it. Diagnostics come from the `progress` hook.
 
 Bookkeeping note: the gradient step uses eta times adjoint(w^2 . residual),
 i.e. without the factor 2 from differentiating the squared norm, and the
@@ -116,10 +119,9 @@ def _shrink(v, kappa):
     sum_{m,n} ||v[:,m,n]|| of the result, which is sum max(rho - kappa, 0)
     over the input norms rho."""
     rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(rho > 0.0, np.maximum(0.0, 1.0 - kappa / rho), 0.0)
-    v *= factor
-    return float(np.sum(np.maximum(rho - kappa, 0.0)))
+    shrunk = np.maximum(rho - kappa, 0.0)
+    v *= np.divide(shrunk, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return float(shrunk.sum())
 
 
 def prox_group(v, kappa):
@@ -144,7 +146,7 @@ def objective(a, d_obs, w, bank, lam):
     return float(np.sum(residual * residual) + lam * np.sum(group_norm_image(a)))
 
 
-def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
+def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     """Run the accelerated proximal gradient iteration until the relative
     Frobenius change of the iterate drops below cfg.rel_tol or max_iters hits.
 
@@ -155,7 +157,6 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     converged or hit max_iters.
     """
     m, n = d_obs.shape
-    depth = bank.num_kernels
     if cfg.weights.shape != d_obs.shape:
         raise ValueError(
             f"weights shape {cfg.weights.shape} does not match observation {d_obs.shape}"
@@ -164,15 +165,9 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
     w2 = cfg.weights * cfg.weights
     kappa = 0.5 * eta * cfg.lam
 
-    if a0 is None:
-        a = np.zeros((depth, m, n))
-    else:
-        a0 = np.asarray(a0, dtype=np.float64)
-        if a0.shape != (m, n, depth):
-            raise ValueError(f"a0 shape {a0.shape} does not match problem {(m, n, depth)}")
-        a = np.maximum(np.moveaxis(a0, 2, 0), 0.0, order="C")
+    a = np.zeros((bank.num_kernels, m, n))
     b = a.copy()  # its own buffer: the loop writes b in place, never a
-    fa = fb = forward(np.moveaxis(a, 0, 2), bank)
+    fa = fb = np.zeros((m, n))  # forward(a) of the zero start
 
     objectives = []
     restarts = start = 0
@@ -184,8 +179,6 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
         a_new += b
         np.maximum(a_new, 0.0, out=a_new)
         regularizer = _shrink(a_new, kappa)
-        if not np.all(np.isfinite(a_new)):
-            raise FloatingPointError("divergence: non-finite iterate")
 
         diff = a_new - a
         rel_change = frobenius_norm(diff) / max(frobenius_norm(a), 1e-12)
@@ -201,6 +194,11 @@ def apg_solve(d_obs, bank, cfg, a0=None, progress: Optional[Callable] = None):
         fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
         fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
         objectives.append(float(fidelity + cfg.lam * regularizer))
+        if not (np.isfinite(objectives[-1]) and np.isfinite(rel_change)):
+            raise FloatingPointError(
+                f"divergence: float64 overflow at iteration {i} (objective {objectives[-1]!r}): "
+                "the step is too large for the kernels, or the data too large for float64"
+            )
         # The hook comes after the extrapolation, which writes only b: it
         # gets a_new, and the loop never writes a_new (then a) again.
         if progress is not None:

@@ -29,11 +29,6 @@ def as_volume(arr):
     return vol
 
 
-def project_nonneg(v):
-    """Element-wise positive part [v]_+."""
-    return np.maximum(v, 0.0)
-
-
 def group_norm_image(v):
     """Per-pixel Euclidean norm across the scale axis: out[m,n] = ||v[m,n,:]||_2."""
     return np.sqrt(np.sum(np.square(v), axis=2))

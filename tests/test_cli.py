@@ -383,6 +383,23 @@ def test_detect_rejects_non_finite_volume(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_detect_rejects_overflowing_volume(tmp_path, capsys):
+    # Finite, but the group norm squares 1e200 past float64's range.
+    a = np.zeros((6, 6, 2))
+    a[2, 3, 1] = 1e200
+    volume, out = tmp_path / "a.f64t", tmp_path / "det.csv"
+    codec.write_tensor(volume, a)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["detect", "--volume", str(volume), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(volume) in err and "overflows" in err
+    assert not out.exists()
+    assert caught == []
+
+
 def test_diverging_pipeline_exit_code(tmp_path, capsys):
     # The paper's step size is outside FISTA's guarantee here and the
     # iterate overflows; numpy's overflow warnings must not reach stderr.
@@ -416,6 +433,36 @@ def test_solve_trace_matches_result(tmp_path, capsys):
     bank = build_kernel_bank(make_scale_grid(1.5, 2))
     final = objective(codec.read_tensor(out / "a_opt.f64t"), d_obs, np.ones(d_obs.shape), bank, 0.05)
     assert float(rows[-1].split(",")[1]) == final
+
+
+def _run_demo_at_amplitude(tmp_path, amplitude):
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    cfg["scene"]["amplitude"] = [amplitude, amplitude]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "p")])
+    assert caught == []  # numpy's overflow warnings must not reach stderr
+    return rc
+
+
+@pytest.mark.parametrize("amplitude", [1e300, 1e160])
+def test_overflowing_pipeline_exit_code(tmp_path, capsys, amplitude):
+    # The scene is finite, but the first objective overflows float64.
+    rc = _run_demo_at_amplitude(tmp_path, amplitude)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: divergence: float64 overflow at iteration 1 ")
+    assert not (tmp_path / "p" / "a_opt.f64t").exists()
+
+
+def test_large_finite_pipeline_runs(tmp_path, capsys):
+    # 1e150 squared still fits in float64: the run is not an overflow.
+    assert _run_demo_at_amplitude(tmp_path, 1e150) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "pipeline done: " in captured.out
 
 
 @pytest.mark.parametrize("which", ["obs", "weights"])

@@ -8,7 +8,7 @@ from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, make_scale_grid
 from spotdeconv.solver import prox_group
-from spotdeconv.tensors import group_norm_image, project_nonneg
+from spotdeconv.tensors import group_norm_image
 
 from oracles import (
     dense_conv2d,
@@ -17,18 +17,6 @@ from oracles import (
     reference_regional_maxima,
     reference_threshold_sweep,
 )
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-@given(st.lists(finite, min_size=1, max_size=24))
-def test_project_nonneg_pointwise(values):
-    v = np.array(values).reshape(1, 1, -1)
-    out = project_nonneg(v)
-    assert np.all(out >= 0)
-    assert np.all((out == v) | (out == 0))
-    np.testing.assert_array_equal(project_nonneg(out), out)
-
 
 @given(
     st.integers(min_value=0, max_value=1000),

@@ -6,26 +6,7 @@ from spotdeconv.tensors import (
     as_volume,
     frobenius_norm,
     group_norm_image,
-    project_nonneg,
 )
-
-
-def test_project_nonneg_basic():
-    np.testing.assert_array_equal(
-        project_nonneg(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-    )
-
-
-def test_project_nonneg_idempotent_and_pointwise():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((4, 5, 3))
-    out = project_nonneg(v)
-    np.testing.assert_array_equal(project_nonneg(out), out)
-    assert np.all((out == 0) | (out == v))
-
-
-def test_project_nonneg_all_negative():
-    assert np.all(project_nonneg(-np.ones((3, 3, 2))) == 0)
 
 
 def test_group_norm_345():
