@@ -2,11 +2,12 @@
 
 Configuration is a single JSON file; see README for the schema. All
 subcommands exit 0 on success and nonzero with a diagnostic naming the
-offending field or file on any error.
+offending field or file on any error. Each command runs all of its stages
+(run_synth, run_solve, detect, run_evaluate), none of which writes a
+file, before it writes any output, so a failing command writes nothing.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -47,6 +48,20 @@ class RunConfig:
     noise_sigma_rel: Optional[float] = None
 
 
+CONFIG_FIELDS = ("sigma_max", "delta_pix", "K", "truncation", "lambda", "weights", "momentum",
+                 "chambolle_a", "rel_tol", "max_iters", "seed", "scene")
+SCENE_FIELDS = ("rows", "cols", "n_sources", "min_separation", "amplitude", "noise_sigma",
+                "noise_sigma_rel", "scale_profile")
+
+
+def _check_known(table, fields, prefix=""):
+    """Reject a key outside `fields`, which would otherwise be ignored
+    (a misspelled 'max_iter' would leave 'max_iters' at its default)."""
+    for key in table:
+        if key not in fields:
+            raise ConfigError(f"config field {prefix + key!r} is not a known field")
+
+
 def _number(table, key, default=None, *, scope="", integer=False,
             above=None, at_least=None):
     """table[key] (an object field `scope.key` or a list entry `scope[key]`) as a finite
@@ -84,6 +99,7 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    _check_known(raw, CONFIG_FIELDS)
 
     sigma_max_pixels = _number(raw, "sigma_max", above=0) / _number(raw, "delta_pix", 1.0, above=0)
     if not 0 < sigma_max_pixels < np.inf:
@@ -107,6 +123,7 @@ def load_config(path):
     if scene is not None:
         if not isinstance(scene, dict):
             raise ConfigError(f"config field 'scene' must be an object, got {scene!r}")
+        _check_known(scene, SCENE_FIELDS, "scene.")
         if "noise_sigma" in scene and "noise_sigma_rel" in scene:
             raise ConfigError("config field 'scene' sets both noise_sigma and noise_sigma_rel")
         amplitude = scene.get("amplitude", [1.0, 1.0])
@@ -189,20 +206,14 @@ def _scene(cfg):
     return cfg.scene
 
 
-def run_synth(cfg, bank, out_dir):
-    """Generate and render the scene, then write its four files to `out_dir`."""
+def run_synth(cfg, bank):
+    """Generate and render the scene: (a_true, d_obs, ground truth, meta)."""
     spec = _scene(cfg)
     a_true, gt = generate_scene(spec)
     clean = forward(a_true, bank)
     noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
                    else cfg.noise_sigma_rel * float(np.max(clean)))
     d_obs = add_noise(clean, noise_sigma, spec.seed + 1)
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    codec.write_tensor(out_dir / "a_true.f64t", a_true)
-    codec.write_tensor(out_dir / "d_obs.f64t", d_obs)
-    codec.write_ground_truth_csv(out_dir / "gt.csv", gt)
     meta = {
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
@@ -215,12 +226,10 @@ def run_synth(cfg, bank, out_dir):
         "amplitude": [spec.amplitude_lo, spec.amplitude_hi],
         "noise_sigma": noise_sigma,
     }
-    with open(out_dir / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-    return d_obs, gt
+    return a_true, d_obs, gt, meta
 
 
-def run_solve(cfg, bank, weights, d_obs, trace_path=None):
+def run_solve(cfg, bank, weights, d_obs):
     solver_cfg = SolverConfig(
         lam=cfg.lam,
         weights=weights,
@@ -232,14 +241,7 @@ def run_solve(cfg, bank, weights, d_obs, trace_path=None):
     # A diverging run overflows before apg_solve sees a non-finite iterate
     # and raises; its FloatingPointError is the one diagnostic to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = apg_solve(d_obs, bank, solver_cfg)
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, obj in enumerate(result.objectives, start=1):
-                writer.writerow([i, repr(obj)])
-    return result
+        return apg_solve(d_obs, bank, solver_cfg)
 
 
 def _check_tol(tol):
@@ -247,33 +249,47 @@ def _check_tol(tol):
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
 
 
-def run_evaluate(dets, gt, tol, report_path, sweep_path):
+def run_evaluate(dets, gt, tol):
+    """The threshold sweep and its best-F1 report: (sweep, report)."""
     sweep = threshold_sweep(dets, gt, tol)
-    report = best_report(sweep)
-    with open(report_path, "w") as fh:
-        json.dump(
-            {
-                "threshold": report.threshold,
-                "TP": report.tp,
-                "FP": report.fp,
-                "FN": report.fn,
-                "precision": report.precision,
-                "recall": report.recall,
-                "f1": report.f1,
-                "tolerance": tol,
-            },
-            fh,
-            indent=2,
-        )
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "TP", "FP", "FN", "precision", "recall", "f1"])
-        for rep in sweep:
-            writer.writerow(
-                [repr(rep.threshold), rep.tp, rep.fp, rep.fn,
-                 repr(rep.precision), repr(rep.recall), repr(rep.f1)]
-            )
-    return report
+    return sweep, best_report(sweep)
+
+
+def _json(obj):
+    """Strict JSON: a NaN or an infinity raises ValueError, not `Infinity`."""
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _write_scene(out_dir, a_true, d_obs, gt, meta):
+    meta_json = _json(meta)  # fails, if it does, before the out-dir exists
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codec.write_tensor(out_dir / "a_true.f64t", a_true)
+    codec.write_tensor(out_dir / "d_obs.f64t", d_obs)
+    codec.write_ground_truth_csv(out_dir / "gt.csv", gt)
+    (out_dir / "meta.json").write_text(meta_json)
+
+
+def _write_solve(result, out, trace):
+    codec.write_tensor(out, result.a_opt)
+    if trace is not None:
+        codec.write_table(trace, codec.TRACE_HEADER, enumerate(result.objectives, start=1))
+
+
+def _write_evaluation(report_path, sweep_path, sweep, report, tol):
+    """report.json, with a +inf best threshold (no detection kept) as null, and the sweep."""
+    Path(report_path).write_text(_json({
+        "threshold": None if report.threshold == np.inf else report.threshold,
+        "TP": report.tp,
+        "FP": report.fp,
+        "FN": report.fn,
+        "precision": report.precision,
+        "recall": report.recall,
+        "f1": report.f1,
+        "tolerance": tol,
+    }))
+    codec.write_table(sweep_path, codec.SWEEP_HEADER, (
+        (r.threshold, r.tp, r.fp, r.fn, r.precision, r.recall, r.f1) for r in sweep
+    ))
 
 
 def _print_cap(cfg, result):
@@ -286,7 +302,7 @@ def _print_cap(cfg, result):
 
 def _cmd_synth(args):
     cfg = load_config(args.config)
-    run_synth(cfg, _kernel_bank(cfg), args.out_dir)
+    _write_scene(Path(args.out_dir), *run_synth(cfg, _kernel_bank(cfg)))
     print(f"scene written to {args.out_dir}")
 
 
@@ -294,8 +310,8 @@ def _cmd_solve(args):
     cfg = load_config(args.config)
     d_obs = _read_checked(args.obs, as_image)
     bank = _kernel_bank(cfg)
-    result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs, args.trace)
-    codec.write_tensor(args.out, result.a_opt)
+    result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
+    _write_solve(result, args.out, args.trace)
     print(
         f"solved in {result.iterations} iterations, {result.restarts} restarts "
         f"(final rel change {result.final_rel_change:.3e})"
@@ -313,8 +329,9 @@ def _cmd_evaluate(args):
     _check_tol(args.tol)
     dets = codec.read_detections_csv(args.detections)
     gt = codec.read_ground_truth_csv(args.ground_truth)
-    sweep = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
-    report = run_evaluate(dets, gt, args.tol, args.out, sweep)
+    sweep, report = run_evaluate(dets, gt, args.tol)
+    sweep_path = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
+    _write_evaluation(args.out, sweep_path, sweep, report, args.tol)
     print(
         f"best F1 {report.f1:.4f} at threshold {report.threshold:.6g} "
         f"(TP={report.tp} FP={report.fp} FN={report.fn})"
@@ -324,19 +341,16 @@ def _cmd_evaluate(args):
 def _cmd_pipeline(args):
     _check_tol(args.tol)
     cfg = load_config(args.config)
-    # Every input is built and checked before run_synth creates the out-dir.
-    spec = _scene(cfg)
     bank = _kernel_bank(cfg)
-    weights = _weights_image(cfg, (spec.rows, spec.cols))
-    out_dir = Path(args.out_dir)
-    d_obs, gt = run_synth(cfg, bank, out_dir)
-    result = run_solve(cfg, bank, weights, d_obs, out_dir / "trace.csv")
-    codec.write_tensor(out_dir / "a_opt.f64t", result.a_opt)
+    a_true, d_obs, gt, meta = run_synth(cfg, bank)
+    result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
     dets = detect(result.a_opt)
+    sweep, report = run_evaluate(dets, gt, args.tol)
+    out_dir = Path(args.out_dir)
+    _write_scene(out_dir, a_true, d_obs, gt, meta)
+    _write_solve(result, out_dir / "a_opt.f64t", out_dir / "trace.csv")
     codec.write_detections_csv(out_dir / "detections.csv", dets)
-    report = run_evaluate(
-        dets, gt, args.tol, out_dir / "report.json", out_dir / "sweep.csv"
-    )
+    _write_evaluation(out_dir / "report.json", out_dir / "sweep.csv", sweep, report, args.tol)
     print(
         f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
         f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"

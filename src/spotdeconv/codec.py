@@ -4,13 +4,15 @@ Binary tensors (.f64t): magic b"SPTD", little-endian u32 version (1),
 u32 ndim (2 or 3), ndim u64 dimensions, then the row-major (k fastest for
 3-D) float64 payload. Round-trips are bit-exact.
 
-CSV: detections with header "row,col,pseudo_likelihood"; ground truth
-with header "row,col".
+CSV tables, all written by write_table: a header row, then rows of numbers.
+Detections ("row,col,pseudo_likelihood") and ground truth ("row,col") are
+read back too; the solver trace and the threshold sweep are outputs only.
 """
 
 import csv
 import math
 import struct
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,6 +23,8 @@ VERSION = 1
 
 DETECTIONS_HEADER = ["row", "col", "pseudo_likelihood"]
 GROUND_TRUTH_HEADER = ["row", "col"]
+TRACE_HEADER = ["iteration", "objective"]
+SWEEP_HEADER = ["threshold", "TP", "FP", "FN", "precision", "recall", "f1"]
 
 
 class CodecError(ValueError):
@@ -69,12 +73,18 @@ def read_tensor(path):
     return arr.astype(np.float64)
 
 
-def write_detections_csv(path, dets):
+def write_table(path, header, rows):
+    """Write a headed CSV table, the mirror of _read_table: each value, a Python
+    or numpy int or float, as its str, the shortest string that reads back
+    bit-exactly. Lines end in CRLF, as the csv module writes them; no number
+    needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETECTIONS_HEADER)
-        for d in dets:
-            writer.writerow([repr(d.row), repr(d.col), repr(d.pseudo_likelihood)])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
+def write_detections_csv(path, dets):
+    write_table(path, DETECTIONS_HEADER, map(attrgetter(*DETECTIONS_HEADER), dets))
 
 
 def _read_table(path, header):
@@ -115,11 +125,7 @@ def read_detections_csv(path):
 
 
 def write_ground_truth_csv(path, gt):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GROUND_TRUTH_HEADER)
-        for r, c in gt:
-            writer.writerow([repr(float(r)), repr(float(c))])
+    write_table(path, GROUND_TRUTH_HEADER, gt)
 
 
 def read_ground_truth_csv(path):

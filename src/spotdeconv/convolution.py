@@ -17,10 +17,12 @@ taps (radius R): one BLAS GEMM per BLOCK rows, all with the same
 BLOCK x (BLOCK + 2R) band block, its columns clipped to the image (the
 zero padding). One pass function serves both axes: the column pass is
 the row pass on the transposed views. A pass over an M x N image costs
-O(M * N * (BLOCK + 2R)) flops. The correlation band holds the reversed
-taps, i.e. the exact transpose, so adjoint() stays the true adjoint for
-asymmetric taps too. GEMM adds a tap-by-tap sum's products in another
-order, so the two differ by round-off only.
+O(M * N * (BLOCK + 2R)) flops. A band holds its taps in order, which
+makes it a correlation; a convolution is the correlation with the reversed
+taps, the exact transpose, so adjoint() stays the true adjoint for
+asymmetric taps too, and symmetric taps share one band. GEMM adds a
+tap-by-tap sum's products in another order, so the two differ by
+round-off only.
 """
 
 from functools import lru_cache
@@ -33,12 +35,10 @@ BLOCK = 32
 
 
 @lru_cache(maxsize=64)
-def _band(taps_bytes, correlate):
-    """BLOCK x (BLOCK + 2R) band block: row r holds the taps (reversed for
-    convolution) in columns r .. r + 2R. Built once per tap vector."""
+def _band(taps_bytes):
+    """BLOCK x (BLOCK + 2R) correlation band block: row r holds the taps in
+    columns r .. r + 2R. Built once per tap vector."""
     taps = np.frombuffer(taps_bytes)
-    if not correlate:
-        taps = taps[::-1]
     band = np.zeros((BLOCK, BLOCK + len(taps) - 1))
     for r in range(BLOCK):
         band[r, r : r + len(taps)] = taps
@@ -55,10 +55,11 @@ def _pass(band, radius, src, dst):
         np.matmul(band[:b, lo - i0 + radius : hi - i0 + radius], src[lo:hi], out=dst[i0 : i0 + b])
 
 
-def _separable(img, taps, correlate, out=None):
-    """Zero-padded 1-D pass along axis 0, then the same pass along axis 1 on
-    the transposed views. Writes into `out`, a C-contiguous image, if given."""
-    band = _band(np.asarray(taps, dtype=np.float64).tobytes(), correlate)
+def _separable(img, taps, out=None):
+    """Zero-padded 1-D correlation pass along axis 0, then the same pass along
+    axis 1 on the transposed views. Writes into `out`, a C-contiguous image,
+    if given."""
+    band = _band(np.asarray(taps, dtype=np.float64).tobytes())
     radius = (len(taps) - 1) // 2
     x = np.ascontiguousarray(img, dtype=np.float64)
     tmp = np.empty_like(x)
@@ -71,12 +72,12 @@ def _separable(img, taps, correlate, out=None):
 
 def conv_same_2d(img, factor):
     """Separable 2-D convolution with the rank-1 kernel factor x factor."""
-    return _separable(img, factor.taps, correlate=False)
+    return _separable(img, factor.taps[::-1])
 
 
 def corr_same_2d(img, factor):
     """Separable 2-D correlation; adjoint of conv_same_2d under zero padding."""
-    return _separable(img, factor.taps, correlate=True)
+    return _separable(img, factor.taps)
 
 
 def forward(a, bank):
@@ -97,5 +98,5 @@ def adjoint(r, bank):
     Returns the (M, N, K) view of a C-contiguous (K, M, N) array."""
     out = np.empty((bank.num_kernels,) + r.shape)
     for k, factor in enumerate(bank.factors):
-        _separable(r, factor.taps, correlate=True, out=out[k])
+        _separable(r, factor.taps, out=out[k])
     return np.moveaxis(out, 0, 2)

@@ -92,6 +92,8 @@ NAN, INF = float("nan"), float("inf")
     ("scene.noise_sigma", 0.1, "noise_sigma and noise_sigma_rel"),
     ("scene.n_sources", -1, "n_sources"),
     ("scene.rows", 0, "rows"),
+    ("max_iter", 3, "'max_iter'"),
+    ("scene.noise_sigmarel", 0.5, "'scene.noise_sigmarel'"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -154,6 +156,20 @@ def test_synth_outputs(tmp_path):
     assert len(gt) == 3
     assert meta["generator"] == "numpy-pcg64"
     assert meta["seed"] == 123
+
+
+def test_synth_non_finite_noise_writes_nothing(tmp_path, capsys):
+    # 1e308 times the clean maximum overflows: meta.json cannot hold the noise sigma.
+    path = Path(_write_config(tmp_path))
+    cfg = json.loads(path.read_text())
+    cfg["scene"]["noise_sigma_rel"] = 1e308
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "scene"
+    rc = main(["synth", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_synth_deterministic(tmp_path):
@@ -292,9 +308,13 @@ def test_evaluate_empty_detections(tmp_path, capsys):
         "--out", str(tmp_path / "report.json"),
     ])
     assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
     assert report["f1"] == 0.0
     assert report["FN"] == 2
+    assert report["threshold"] is None
 
 
 def test_malformed_tensor_exit_code(tmp_path, capsys):
@@ -412,6 +432,7 @@ def test_diverging_pipeline_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error: divergence: ")
     assert caught == []
+    assert not (tmp_path / "p").exists()
 
 
 def test_solve_trace_matches_result(tmp_path, capsys):
@@ -456,6 +477,7 @@ def test_overflowing_pipeline_exit_code(tmp_path, capsys, amplitude):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error: divergence: float64 overflow at iteration 1 ")
     assert not (tmp_path / "p" / "a_opt.f64t").exists()
+    assert not (tmp_path / "p").exists()
 
 
 def test_large_finite_pipeline_runs(tmp_path, capsys):
@@ -500,15 +522,15 @@ def test_capped_run_reports_not_converged(tmp_path, capsys, command):
     assert len(lines) == 2
     run_cfg = load_config(cfg)
     d_obs = codec.read_tensor(out / "d_obs.f64t")
-    result = cli.run_solve(run_cfg, cli._kernel_bank(run_cfg), np.ones(d_obs.shape), d_obs, None)
+    result = cli.run_solve(run_cfg, cli._kernel_bank(run_cfg), np.ones(d_obs.shape), d_obs)
     assert result.iterations == 3 and result.converged is False
 
 
 def test_demo_run_converges(tmp_path, capsys):
     cfg = load_config(DEMO_CONFIG)
     bank = cli._kernel_bank(cfg)
-    d_obs, _ = cli.run_synth(cfg, bank, tmp_path / "demo")
-    result = cli.run_solve(cfg, bank, cli._weights_image(cfg, d_obs.shape), d_obs, None)
+    _, d_obs, _, _ = cli.run_synth(cfg, bank)
+    result = cli.run_solve(cfg, bank, cli._weights_image(cfg, d_obs.shape), d_obs)
     assert result.converged is True
     assert result.iterations < cfg.max_iters
     assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(tmp_path / "pipe")]) == 0

@@ -127,6 +127,16 @@ def test_ground_truth_csv_roundtrip(tmp_path):
     assert codec.read_ground_truth_csv(path) == gt
 
 
+def test_write_table_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(61)
+    points = rng.standard_normal((100, 2)) * 10.0 ** rng.integers(-300, 300, (100, 2))
+    path = tmp_path / "gt.csv"
+    codec.write_ground_truth_csv(path, points)  # rows of numpy float64 scalars
+    assert codec.read_ground_truth_csv(path) == [tuple(p) for p in points.tolist()]
+    codec.write_table(path, codec.TRACE_HEADER, [(1, 0.1), (np.int64(2), np.float64(1e-300))])
+    assert path.read_bytes() == b"iteration,objective\r\n1,0.1\r\n2,1e-300\r\n"
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "det.csv"
     path.write_text("x,y,p\n1,2,3\n")
