@@ -22,7 +22,7 @@ from .convolution import forward
 from .detection import detect
 from .evaluation import best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
-from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve, step_size
+from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
 from .tensors import as_image, as_volume
 
@@ -187,33 +187,33 @@ def _read_checked(path, check):
 
 def _weights_image(cfg, shape):
     """The weights image for an observation of `shape`: the weights file (2-D,
-    finite, of that shape) or the uniform value. Zero weights raise."""
-    if cfg.weights_file is not None:
-        w = _read_checked(cfg.weights_file, as_image)
-        if w.shape != shape:
-            raise ConfigError(
-                f"weights file shape {w.shape} does not match observation {shape}"
-            )
-    else:
-        w = np.full(shape, cfg.weights_uniform)
-    step_size(cfg.sigma_max_pixels, w)  # the solver's "degenerate weights" check
+    finite, of that shape) or the uniform value."""
+    if cfg.weights_file is None:
+        return np.full(shape, cfg.weights_uniform)
+    w = _read_checked(cfg.weights_file, as_image)
+    if w.shape != shape:
+        raise ConfigError(f"weights file shape {w.shape} does not match observation {shape}")
     return w
 
 
-def _scene(cfg):
-    if cfg.scene is None:
-        raise ConfigError("config field 'scene' is missing")
-    return cfg.scene
-
-
 def run_synth(cfg, bank):
-    """Generate and render the scene: (a_true, d_obs, ground truth, meta)."""
-    spec = _scene(cfg)
-    a_true, gt = generate_scene(spec)
-    clean = forward(a_true, bank)
-    noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
-                   else cfg.noise_sigma_rel * float(np.max(clean)))
-    d_obs = add_noise(clean, noise_sigma, spec.seed + 1)
+    """Generate and render the scene: (a_true, d_obs, ground truth, meta), all finite."""
+    spec = cfg.scene
+    if spec is None:
+        raise ConfigError("config field 'scene' is missing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_true, gt = generate_scene(spec)
+        clean = forward(a_true, bank)
+        noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
+                       else cfg.noise_sigma_rel * float(np.max(clean)))
+        d_obs = add_noise(clean, noise_sigma, spec.seed + 1)
+    if not np.isfinite(clean).all():
+        raise ConfigError("config fields 'scene.amplitude'/'scene.scale_profile' "
+                          "give a non-finite clean image")
+    if not np.isfinite(d_obs).all():  # the clean image is finite: the noise overflowed
+        field = "noise_sigma" if cfg.noise_sigma_rel is None else "noise_sigma_rel"
+        raise ConfigError(f"config field 'scene.{field}' gives a non-finite observation, "
+                          f"got {cfg.noise_sigma_rel or spec.noise_sigma!r}")
     meta = {
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
@@ -249,6 +249,12 @@ def _check_tol(tol):
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
 
 
+def _check_distinct(out, other, flag):
+    """Two outputs on one path: the second write would replace the first."""
+    if other is not None and Path(out).resolve() == Path(other).resolve():
+        raise ConfigError(f"{flag} and --out name the same file: {other}")
+
+
 def run_evaluate(dets, gt, tol):
     """The threshold sweep and its best-F1 report: (sweep, report)."""
     sweep = threshold_sweep(dets, gt, tol)
@@ -261,12 +267,11 @@ def _json(obj):
 
 
 def _write_scene(out_dir, a_true, d_obs, gt, meta):
-    meta_json = _json(meta)  # fails, if it does, before the out-dir exists
     out_dir.mkdir(parents=True, exist_ok=True)
     codec.write_tensor(out_dir / "a_true.f64t", a_true)
     codec.write_tensor(out_dir / "d_obs.f64t", d_obs)
     codec.write_ground_truth_csv(out_dir / "gt.csv", gt)
-    (out_dir / "meta.json").write_text(meta_json)
+    (out_dir / "meta.json").write_text(_json(meta))
 
 
 def _write_solve(result, out, trace):
@@ -307,6 +312,7 @@ def _cmd_synth(args):
 
 
 def _cmd_solve(args):
+    _check_distinct(args.out, args.trace, "--trace")
     cfg = load_config(args.config)
     d_obs = _read_checked(args.obs, as_image)
     bank = _kernel_bank(cfg)
@@ -326,11 +332,12 @@ def _cmd_detect(args):
 
 
 def _cmd_evaluate(args):
+    sweep_path = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
+    _check_distinct(args.out, sweep_path, "--sweep")
     _check_tol(args.tol)
     dets = codec.read_detections_csv(args.detections)
     gt = codec.read_ground_truth_csv(args.ground_truth)
     sweep, report = run_evaluate(dets, gt, args.tol)
-    sweep_path = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
     _write_evaluation(args.out, sweep_path, sweep, report, args.tol)
     print(
         f"best F1 {report.f1:.4f} at threshold {report.threshold:.6g} "

@@ -5,14 +5,14 @@ u32 ndim (2 or 3), ndim u64 dimensions, then the row-major (k fastest for
 3-D) float64 payload. Round-trips are bit-exact.
 
 CSV tables, all written by write_table: a header row, then rows of numbers.
-Detections ("row,col,pseudo_likelihood") and ground truth ("row,col") are
-read back too; the solver trace and the threshold sweep are outputs only.
+Detections ("row,col,pseudo_likelihood", each Detection written as the row
+it is) and ground truth ("row,col") are read back too; the solver trace and
+the threshold sweep are outputs only.
 """
 
 import csv
 import math
 import struct
-from operator import attrgetter
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def write_table(path, header, rows):
 
 
 def write_detections_csv(path, dets):
-    write_table(path, DETECTIONS_HEADER, map(attrgetter(*DETECTIONS_HEADER), dets))
+    write_table(path, DETECTIONS_HEADER, dets)
 
 
 def _read_table(path, header):
@@ -118,10 +118,7 @@ def _read_table(path, header):
 
 
 def read_detections_csv(path):
-    return [
-        Detection(row=r, col=c, pseudo_likelihood=p)
-        for r, c, p in _read_table(path, DETECTIONS_HEADER)
-    ]
+    return [Detection(*row) for row in _read_table(path, DETECTIONS_HEADER)]
 
 
 def write_ground_truth_csv(path, gt):

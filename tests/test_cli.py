@@ -158,17 +158,32 @@ def test_synth_outputs(tmp_path):
     assert meta["seed"] == 123
 
 
-def test_synth_non_finite_noise_writes_nothing(tmp_path, capsys):
-    # 1e308 times the clean maximum overflows: meta.json cannot hold the noise sigma.
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("scene, named", [
+    # 1e308 overflows: as a relative sigma at once, as an absolute one in the noise.
+    pytest.param({"noise_sigma": 1e308},
+                 "'scene.noise_sigma' gives a non-finite observation, got 1e+308",
+                 id="noise_sigma"),
+    pytest.param({"noise_sigma_rel": 1e308},
+                 "'scene.noise_sigma_rel' gives a non-finite observation, got 1e+308",
+                 id="noise_sigma_rel"),
+    # 1e300 times 1e10 overflows in the source volume itself.
+    pytest.param({"amplitude": [1e300, 1e300], "scale_profile": [1e10, 1.0]},
+                 "'scene.amplitude'/'scene.scale_profile' give a non-finite clean image",
+                 id="amplitude"),
+])
+def test_non_finite_scene_exit_code(tmp_path, capsys, command, scene, named):
     path = Path(_write_config(tmp_path))
     cfg = json.loads(path.read_text())
-    cfg["scene"]["noise_sigma_rel"] = 1e308
+    del cfg["scene"]["noise_sigma_rel"]
+    cfg["scene"].update(scene)
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "scene"
-    rc = main(["synth", "--config", str(path), "--out-dir", str(out)])
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: config field") and named in err
     assert not out.exists()
 
 
@@ -296,6 +311,27 @@ def test_solve_degenerate_weights_exit_code(tmp_path, capsys):
     ])
     assert rc == 1
     assert "degenerate weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("solve", "--trace"), ("evaluate", "--sweep")])
+def test_two_outputs_on_one_path_exit_code(tmp_path, capsys, monkeypatch, command, flag):
+    # One file named twice, relative and absolute: the second write would replace the first.
+    cfg = _write_config(tmp_path)
+    assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    codec.write_detections_csv(tmp_path / "det.csv", [])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "solve": ["--config", cfg, "--obs", "d_obs.f64t"],
+        "evaluate": ["--detections", "det.csv", "--ground-truth", "gt.csv"],
+    }[command]
+    same = tmp_path / "same.out"
+    rc = main([command, *inputs, "--out", "same.out", flag, str(same)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {flag} and --out name the same file: ")
+    assert not same.exists()
 
 
 def test_evaluate_empty_detections(tmp_path, capsys):

@@ -119,6 +119,19 @@ def test_detections_csv_roundtrip(tmp_path):
     assert codec.read_detections_csv(path) == dets
 
 
+def test_detection_is_its_csv_row(tmp_path):
+    rng = np.random.default_rng(62)
+    values = rng.standard_normal((100, 3)) * 10.0 ** rng.integers(-300, 300, (100, 3))
+    dets = [Detection(*row) for row in values.tolist()] + [Detection(0.1, 1 / 3, 5e-324)]
+    for d in dets:
+        assert tuple(d) == (d.row, d.col, d.pseudo_likelihood)
+    path = tmp_path / "det.csv"
+    codec.write_detections_csv(path, dets)
+    back = codec.read_detections_csv(path)
+    assert back == dets
+    assert np.array(back).tobytes() == np.array(dets).tobytes()
+
+
 def test_ground_truth_csv_roundtrip(tmp_path):
     path = tmp_path / "gt.csv"
     gt = [(1.0, 2.0), (3.5, 4.25)]

@@ -97,6 +97,9 @@ level_images = arrays(
 @example(np.array([[1.0], [3.0], [3.0], [0.0], [0.5]]))
 @example(np.zeros((4, 5)))
 @example(np.full((3, 4), 0.5))
+# The only equal-valued non-candidate neighbor is diagonal, or on the border.
+@example(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]))
+@example(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
 def test_regional_maxima_equals_reference(p):
     assert regional_maxima(p) == reference_regional_maxima(p)
 
