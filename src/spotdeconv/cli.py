@@ -144,9 +144,13 @@ def load_config(path):
             noise_sigma=number("noise_sigma", 0.0),
             seed=seed,
             scale_profile=None if profile is None else [
-                _number(profile, i, scope="scene.scale_profile") for i in range(len(profile))
+                _number(profile, i, scope="scene.scale_profile", at_least=0)
+                for i in range(len(profile))
             ],
         )
+        if profile is not None and not any(v > 0 for v in spec["scale_profile"]):
+            raise ConfigError(f"config field 'scene.scale_profile' needs an entry > 0, "
+                              f"got {profile!r}")
         if "noise_sigma_rel" in scene:
             noise_sigma_rel = number("noise_sigma_rel", at_least=0)
         try:
@@ -249,10 +253,19 @@ def _check_tol(tol):
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
 
 
-def _check_distinct(out, other, flag):
-    """Two outputs on one path: the second write would replace the first."""
-    if other is not None and Path(out).resolve() == Path(other).resolve():
-        raise ConfigError(f"{flag} and --out name the same file: {other}")
+def _check_paths(inputs, outputs):
+    """Each output path differs from every input path and every earlier output
+    path: the write would replace the input, or the first output. Both are
+    lists of (flag, path); a None path is absent."""
+    seen = [(flag, Path(path).resolve()) for flag, path in inputs if path is not None]
+    for flag, path in outputs:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        for other_flag, other in seen:
+            if resolved == other:
+                raise ConfigError(f"{flag} and {other_flag} name the same file: {path}")
+        seen.append((flag, resolved))
 
 
 def run_evaluate(dets, gt, tol):
@@ -312,8 +325,10 @@ def _cmd_synth(args):
 
 
 def _cmd_solve(args):
-    _check_distinct(args.out, args.trace, "--trace")
     cfg = load_config(args.config)
+    _check_paths([("--config", args.config), ("--obs", args.obs),
+                  ("config field 'weights.file'", cfg.weights_file)],
+                 [("--out", args.out), ("--trace", args.trace)])
     d_obs = _read_checked(args.obs, as_image)
     bank = _kernel_bank(cfg)
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
@@ -326,6 +341,7 @@ def _cmd_solve(args):
 
 
 def _cmd_detect(args):
+    _check_paths([("--volume", args.volume)], [("--out", args.out)])
     dets = _read_checked(args.volume, lambda vol: detect(as_volume(vol)))
     codec.write_detections_csv(args.out, dets)
     print(f"{len(dets)} detections written to {args.out}")
@@ -333,7 +349,8 @@ def _cmd_detect(args):
 
 def _cmd_evaluate(args):
     sweep_path = args.sweep or str(Path(args.out).with_suffix("")) + "_sweep.csv"
-    _check_distinct(args.out, sweep_path, "--sweep")
+    _check_paths([("--detections", args.detections), ("--ground-truth", args.ground_truth)],
+                 [("--out", args.out), ("--sweep", sweep_path)])
     _check_tol(args.tol)
     dets = codec.read_detections_csv(args.detections)
     gt = codec.read_ground_truth_csv(args.ground_truth)

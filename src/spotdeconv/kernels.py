@@ -4,13 +4,14 @@ Each scale bin [s_{k-1}, s_k] gets one rank-1 kernel: a 1-D factor of
 pixel-integrated Gaussian taps at the bin midpoint scale, so the 2-D kernel
 is the outer product of that factor with itself. Taps are truncated at
 radius ceil(c * sigma_k) and deliberately not renormalized, which keeps the
-total 2-D kernel mass <= 1.
+total 2-D kernel mass <= 1. The taps are differences of the standard
+library's math.erf at the pixel edges, so the package needs numpy alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 # Midpoint scales are clamped below this to avoid a degenerate sigma=0 bin.
 SIGMA_MIN = 0.05
@@ -67,6 +68,9 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
     """Pixel-integrated Gaussian taps for bin k at the (clamped) midpoint scale.
 
     taps[R+j] = 0.5 * (erf((j+0.5)/(sqrt(2) s)) - erf((j-0.5)/(sqrt(2) s)))
+
+    erf is evaluated once at each of the 2R+2 pixel edges: the edge j+0.5
+    of tap j is the same double as the edge (j+1)-0.5 of tap j+1.
     """
     if not 0 <= k < grid.num_bins:
         raise ValueError(f"bin index {k} out of range [0, {grid.num_bins})")
@@ -74,10 +78,10 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
         raise ValueError(f"truncation must be finite and > 0, got {truncation}")
     sigma = max(grid.midpoint(k), SIGMA_MIN)
     radius = int(np.ceil(truncation * sigma))
-    j = np.arange(-radius, radius + 1)
     scale = 1.0 / (np.sqrt(2.0) * sigma)
-    taps = 0.5 * (erf((j + 0.5) * scale) - erf((j - 0.5) * scale))
-    return Kernel1D(taps=taps)
+    edges = (np.arange(-radius, radius + 2) - 0.5) * scale
+    cdf = np.array([math.erf(x) for x in edges.tolist()])
+    return Kernel1D(taps=0.5 * np.diff(cdf))
 
 
 def build_kernel_bank(grid, truncation=DEFAULT_TRUNCATION):

@@ -49,6 +49,9 @@ class SceneSpec:
             profile = np.asarray(self.scale_profile, dtype=np.float64)
             if profile.shape != (self.depth,) or not np.all(np.isfinite(profile)):
                 raise ValueError(f"scale_profile must hold {self.depth} finite values")
+            if not (np.all(profile >= 0) and np.any(profile > 0)):
+                raise ValueError(f"scale_profile must be >= 0 with an entry > 0, "
+                                 f"got {list(self.scale_profile)}")
 
 
 def generate_scene(spec):

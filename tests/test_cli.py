@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spotdeconv
 from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
@@ -187,6 +191,23 @@ def test_non_finite_scene_exit_code(tmp_path, capsys, command, scene, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("profile", [[-1.0, 2.0], [0.0, 0.0], [-0.5, -0.5]])
+def test_bad_scale_profile_exit_code(tmp_path, capsys, command, profile):
+    # A negative entry makes a negative source; no positive entry, no source at all.
+    path = Path(_write_config(tmp_path))
+    cfg = json.loads(path.read_text())
+    cfg["scene"]["scale_profile"] = profile
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: config field 'scene.scale_profile")
+    assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -332,6 +353,109 @@ def test_two_outputs_on_one_path_exit_code(tmp_path, capsys, monkeypatch, comman
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: {flag} and --out name the same file: ")
     assert not same.exists()
+
+
+@pytest.mark.parametrize("command, source, flag", [
+    ("detect", "--volume", "--out"),
+    ("solve", "--obs", "--out"),
+    ("solve", "--obs", "--trace"),
+    ("solve", "--config", "--out"),
+    ("evaluate", "--detections", "--out"),
+    ("evaluate", "--ground-truth", "--out"),
+    ("evaluate", "--detections", "--sweep"),
+    ("evaluate", "--ground-truth", "--sweep"),
+])
+def test_output_on_an_input_path_exit_code(tmp_path, capsys, monkeypatch, command, source, flag):
+    # An input named again as an output, relative and absolute: the write would replace it.
+    cfg = _write_config(tmp_path)
+    assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert main(["solve", "--config", cfg, "--obs", str(tmp_path / "d_obs.f64t"),
+                 "--out", str(tmp_path / "a.f64t")]) == 0
+    codec.write_detections_csv(tmp_path / "det.csv", [])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    args = {
+        "detect": {"--volume": "a.f64t", "--out": "det_out.csv"},
+        "solve": {"--config": "cfg.json", "--obs": "d_obs.f64t", "--out": "a_out.f64t"},
+        "evaluate": {"--detections": "det.csv", "--ground-truth": "gt.csv",
+                     "--out": "report.json", "--sweep": "sweep.csv"},
+    }[command]
+    args[flag] = str(tmp_path / args[source])
+    before = (tmp_path / args[source]).read_bytes()
+    rc = main([command, *[item for pair in args.items() for item in pair]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {flag} and {source} name the same file: ")
+    assert (tmp_path / args[source]).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["a.f64t", "a_true.f64t", "cfg.json", "d_obs.f64t", "det.csv", "gt.csv", "meta.json"])
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_solve_output_on_weights_file_exit_code(tmp_path, capsys, flag):
+    # The config's weights file is an input of solve too.
+    weights = tmp_path / "w.f64t"
+    codec.write_tensor(weights, np.ones((24, 24)))
+    cfg = _write_config(tmp_path, weights={"file": str(weights)})
+    assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    before = weights.read_bytes()
+    outputs = {"--out": str(tmp_path / "a.f64t"), "--trace": str(tmp_path / "trace.csv")}
+    outputs[flag] = str(weights)
+    rc = main(["solve", "--config", cfg, "--obs", str(tmp_path / "s" / "d_obs.f64t"),
+               *[item for pair in outputs.items() for item in pair]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {flag} and config field 'weights.file' name the same file: ")
+    assert weights.read_bytes() == before
+    assert not (tmp_path / "a.f64t").exists() and not (tmp_path / "trace.csv").exists()
+
+
+_BLOCK_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+from spotdeconv.cli import main
+for argv in {argv!r}:
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def _demo_chain(out):
+    """synth, solve, detect and evaluate on the demo into out/chain, pipeline into out/pipe."""
+    chain = out / "chain"
+    return [
+        ["synth", "--config", str(DEMO_CONFIG), "--out-dir", str(chain)],
+        ["solve", "--config", str(DEMO_CONFIG), "--obs", str(chain / "d_obs.f64t"),
+         "--out", str(chain / "a_opt.f64t"), "--trace", str(chain / "trace.csv")],
+        ["detect", "--volume", str(chain / "a_opt.f64t"), "--out", str(chain / "detections.csv")],
+        ["evaluate", "--detections", str(chain / "detections.csv"),
+         "--ground-truth", str(chain / "gt.csv"), "--out", str(chain / "report.json"),
+         "--sweep", str(chain / "sweep.csv")],
+        ["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(out / "pipe")],
+    ]
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # The package needs numpy alone: with scipy unimportable, each command
+    # exits 0 and writes the same files as a run in this process.
+    for argv in _demo_chain(tmp_path / "here"):
+        assert main(argv) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(spotdeconv.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    script = _BLOCK_SCIPY.format(argv=_demo_chain(tmp_path / "blocked"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "pipeline done: " in run.stdout
+    for sub in ("chain", "pipe"):
+        here, blocked = tmp_path / "here" / sub, tmp_path / "blocked" / sub
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in blocked.iterdir())
+        assert len(names) == 9
+        for name in names:
+            assert (here / name).read_bytes() == (blocked / name).read_bytes(), name
 
 
 def test_evaluate_empty_detections(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from spotdeconv.kernels import (
     SIGMA_MIN,
@@ -11,6 +12,19 @@ from spotdeconv.kernels import (
 # Center tap for sigma = 1: integral of the unit Gaussian pdf over [-1/2, 1/2],
 # frozen from 60-digit quadrature.
 CENTER_TAP_SIGMA1 = 0.38292492254802620728
+
+
+@pytest.mark.parametrize("sigma_max, num_bins", [(3.0, 4), (3.0, 12)])  # the demo grid; K=12
+def test_taps_match_scipy_erf(sigma_max, num_bins):
+    # The taps take math.erf; scipy's erf (cephes) differs from it by a few ulp.
+    grid = make_scale_grid(sigma_max, num_bins)
+    for k in range(num_bins):
+        factor = gaussian_factor_1d(grid, k)
+        sigma = max(grid.midpoint(k), SIGMA_MIN)
+        j = np.arange(-factor.radius, factor.radius + 1)
+        scale = 1.0 / (np.sqrt(2.0) * sigma)
+        want = 0.5 * (erf((j + 0.5) * scale) - erf((j - 0.5) * scale))
+        np.testing.assert_allclose(factor.taps, want, rtol=0, atol=1e-15)
 
 
 def test_scale_grid_uniform():

@@ -90,6 +90,25 @@ level_images = arrays(
 )
 
 
+def _ring_around_centre():
+    """7x7: a one-pixel plateau inside a ring plateau of the same value and
+    centroid, split from it by a lower ring: two equal detections."""
+    p = np.full((7, 7), 0.5)
+    p[1:6, 1:6] = 2.0
+    p[2:5, 2:5] = 1.0
+    p[3, 3] = 2.0
+    return p
+
+
+def _serpentine():
+    """9x9: one plateau winding through four rows, joined at alternate ends,
+    so that labelling has to merge along a long path."""
+    p = np.full((9, 9), 1.0)
+    p[1:8:2, 1:8] = 3.0
+    p[2, 7] = p[4, 1] = p[6, 7] = 3.0
+    return p
+
+
 @settings(max_examples=500)
 @given(level_images)
 @example(np.array([[2.0]]))
@@ -100,6 +119,8 @@ level_images = arrays(
 # The only equal-valued non-candidate neighbor is diagonal, or on the border.
 @example(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]))
 @example(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+@example(_ring_around_centre())
+@example(_serpentine())
 def test_regional_maxima_equals_reference(p):
     assert regional_maxima(p) == reference_regional_maxima(p)
 

@@ -89,6 +89,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(noise_sigma=-0.1)
     for bad in [dict(rows=0), dict(cols=0), dict(n_sources=-1),
-                dict(scale_profile=[0.5, 0.5]), dict(scale_profile=[0.5, np.nan, 0.5])]:
+                dict(scale_profile=[0.5, 0.5]), dict(scale_profile=[0.5, np.nan, 0.5]),
+                dict(scale_profile=[1.0, -0.5, 1.0]), dict(scale_profile=[0.0, 0.0, 0.0])]:
         with pytest.raises(ValueError):
             _spec(**bad)
