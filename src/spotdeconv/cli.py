@@ -52,6 +52,9 @@ CONFIG_FIELDS = ("sigma_max", "delta_pix", "K", "truncation", "lambda", "weights
                  "chambolle_a", "rel_tol", "max_iters", "seed", "scene")
 SCENE_FIELDS = ("rows", "cols", "n_sources", "min_separation", "amplitude", "noise_sigma",
                 "noise_sigma_rel", "scale_profile")
+# The files that synth writes into --out-dir, then those that pipeline adds.
+SCENE_FILES = ("a_true.f64t", "d_obs.f64t", "gt.csv", "meta.json")
+RUN_FILES = ("a_opt.f64t", "trace.csv", "detections.csv", "report.json", "sweep.csv")
 
 
 def _check_known(table, fields, prefix=""):
@@ -190,14 +193,11 @@ def _read_checked(path, check):
 
 
 def _weights_image(cfg, shape):
-    """The weights image for an observation of `shape`: the weights file (2-D,
-    finite, of that shape) or the uniform value."""
+    """The weights image: the weights file (2-D and finite; apg_solve checks
+    its shape) or the uniform value as an image of `shape`."""
     if cfg.weights_file is None:
         return np.full(shape, cfg.weights_uniform)
-    w = _read_checked(cfg.weights_file, as_image)
-    if w.shape != shape:
-        raise ConfigError(f"weights file shape {w.shape} does not match observation {shape}")
-    return w
+    return _read_checked(cfg.weights_file, as_image)
 
 
 def run_synth(cfg, bank):
@@ -254,9 +254,12 @@ def _check_tol(tol):
 
 
 def _check_paths(inputs, outputs):
-    """Each output path differs from every input path and every earlier output
-    path: the write would replace the input, or the first output. Both are
-    lists of (flag, path); a None path is absent."""
+    """Reject, before any stage runs, an output path that names an input or an
+    earlier output (the write would replace it), an existing directory, or a
+    file in no existing directory (the write would fail after the earlier
+    outputs were written). The files in `--out-dir` need no existing
+    directory: the command creates it. Both are lists of (flag, path); a None
+    path is absent."""
     seen = [(flag, Path(path).resolve()) for flag, path in inputs if path is not None]
     for flag, path in outputs:
         if path is None:
@@ -265,6 +268,10 @@ def _check_paths(inputs, outputs):
         for other_flag, other in seen:
             if resolved == other:
                 raise ConfigError(f"{flag} and {other_flag} name the same file: {path}")
+        if resolved.is_dir():
+            raise ConfigError(f"{flag} names a directory: {path}")
+        if flag != "--out-dir" and not resolved.parent.is_dir():
+            raise ConfigError(f"{flag} names a file in no existing directory: {path}")
         seen.append((flag, resolved))
 
 
@@ -281,10 +288,11 @@ def _json(obj):
 
 def _write_scene(out_dir, a_true, d_obs, gt, meta):
     out_dir.mkdir(parents=True, exist_ok=True)
-    codec.write_tensor(out_dir / "a_true.f64t", a_true)
-    codec.write_tensor(out_dir / "d_obs.f64t", d_obs)
-    codec.write_ground_truth_csv(out_dir / "gt.csv", gt)
-    (out_dir / "meta.json").write_text(_json(meta))
+    a_true_path, d_obs_path, gt_path, meta_path = (out_dir / name for name in SCENE_FILES)
+    codec.write_tensor(a_true_path, a_true)
+    codec.write_tensor(d_obs_path, d_obs)
+    codec.write_ground_truth_csv(gt_path, gt)
+    meta_path.write_text(_json(meta))
 
 
 def _write_solve(result, out, trace):
@@ -320,7 +328,10 @@ def _print_cap(cfg, result):
 
 def _cmd_synth(args):
     cfg = load_config(args.config)
-    _write_scene(Path(args.out_dir), *run_synth(cfg, _kernel_bank(cfg)))
+    out_dir = Path(args.out_dir)
+    _check_paths([("--config", args.config)],
+                 [("--out-dir", out_dir / name) for name in SCENE_FILES])
+    _write_scene(out_dir, *run_synth(cfg, _kernel_bank(cfg)))
     print(f"scene written to {args.out_dir}")
 
 
@@ -365,16 +376,20 @@ def _cmd_evaluate(args):
 def _cmd_pipeline(args):
     _check_tol(args.tol)
     cfg = load_config(args.config)
+    out_dir = Path(args.out_dir)
+    _check_paths([("--config", args.config), ("config field 'weights.file'", cfg.weights_file)],
+                 [("--out-dir", out_dir / name) for name in SCENE_FILES + RUN_FILES])
     bank = _kernel_bank(cfg)
     a_true, d_obs, gt, meta = run_synth(cfg, bank)
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
     dets = detect(result.a_opt)
     sweep, report = run_evaluate(dets, gt, args.tol)
-    out_dir = Path(args.out_dir)
+    a_opt_path, trace_path, dets_path, report_path, sweep_path = (
+        out_dir / name for name in RUN_FILES)
     _write_scene(out_dir, a_true, d_obs, gt, meta)
-    _write_solve(result, out_dir / "a_opt.f64t", out_dir / "trace.csv")
-    codec.write_detections_csv(out_dir / "detections.csv", dets)
-    _write_evaluation(out_dir / "report.json", out_dir / "sweep.csv", sweep, report, args.tol)
+    _write_solve(result, a_opt_path, trace_path)
+    codec.write_detections_csv(dets_path, dets)
+    _write_evaluation(report_path, sweep_path, sweep, report, args.tol)
     print(
         f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
         f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"

@@ -75,11 +75,6 @@ def conv_same_2d(img, factor):
     return _separable(img, factor.taps[::-1])
 
 
-def corr_same_2d(img, factor):
-    """Separable 2-D correlation; adjoint of conv_same_2d under zero padding."""
-    return _separable(img, factor.taps)
-
-
 def forward(a, bank):
     """Sum over k of slice-wise convolution: the observation operator."""
     if a.ndim != 3 or a.shape[2] != bank.num_kernels:

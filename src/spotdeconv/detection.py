@@ -59,8 +59,6 @@ def _components(marked, width):
         u.append(touch)
         v.append(index[pos[touch] + offset])
     u, v = np.concatenate(u), np.concatenate(v)
-    if not u.size:  # no two marked pixels touch: each is its own component
-        return np.arange(pos.size), pos.size
     parent = np.arange(pos.size)
     while True:
         ru, rv = parent[u], parent[v]

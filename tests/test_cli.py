@@ -413,6 +413,82 @@ def test_solve_output_on_weights_file_exit_code(tmp_path, capsys, flag):
     assert not (tmp_path / "a.f64t").exists() and not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command, source, name", [
+    ("synth", "--config", "meta.json"),
+    ("pipeline", "--config", "meta.json"),
+    ("pipeline", "config field 'weights.file'", "a_opt.f64t"),
+])
+def test_out_dir_file_on_an_input_path_exit_code(tmp_path, capsys, command, source, name):
+    # A file the command writes into --out-dir is one of its inputs: the write would replace it.
+    out = tmp_path / "out"
+    out.mkdir()
+    if source == "--config":
+        cfg = out / name
+        cfg.write_text(Path(_write_config(tmp_path)).read_text())
+        source_path = cfg
+    else:
+        source_path = out / name
+        codec.write_tensor(source_path, np.ones((24, 24)))
+        cfg = _write_config(tmp_path, weights={"file": str(source_path)})
+    before = source_path.read_bytes()
+    rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: --out-dir and {source} name the same file: {source_path}\n"
+    assert source_path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("command, flag, second, problem", [
+    ("solve", "--trace", "missing/t.csv", "names a file in no existing directory"),
+    ("solve", "--trace", "sub", "names a directory"),
+    ("evaluate", "--sweep", "nodir/s.csv", "names a file in no existing directory"),
+    ("evaluate", "--sweep", "sub", "names a directory"),
+])
+def test_unwritable_second_output_exit_code(tmp_path, capsys, monkeypatch, command, flag,
+                                            second, problem):
+    # The second write would fail: the command must fail before it writes the first.
+    cfg = _write_config(tmp_path)
+    assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    codec.write_detections_csv(tmp_path / "det.csv", [])
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    inputs, first = {
+        "solve": (["--config", cfg, "--obs", "d_obs.f64t"], "a.f64t"),
+        "evaluate": (["--detections", "det.csv", "--ground-truth", "gt.csv"], "r.json"),
+    }[command]
+    rc = main([command, *inputs, "--out", first, flag, second])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {flag} {problem}: {second}\n"
+    assert not (tmp_path / first).exists()
+
+
+def test_pipeline_out_dir_file_is_a_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    rc = main(["pipeline", "--config", _write_config(tmp_path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: --out-dir names a directory: {out / 'report.json'}\n"
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def test_solve_weights_shape_exit_code(tmp_path, capsys):
+    # apg_solve checks the weights' shape for solve as for pipeline.
+    obs_path, w_path = tmp_path / "d_obs.f64t", tmp_path / "w.f64t"
+    codec.write_tensor(obs_path, np.ones((24, 24)))
+    codec.write_tensor(w_path, np.ones((24, 23)))
+    cfg = _write_config(tmp_path, weights={"file": str(w_path)})
+    out = tmp_path / "a.f64t"
+    rc = main(["solve", "--config", cfg, "--obs", str(obs_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err and "shape (24, 23)" in err
+    assert not out.exists()
+
+
 _BLOCK_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError

@@ -4,7 +4,6 @@ import pytest
 from spotdeconv.convolution import (
     adjoint,
     conv_same_2d,
-    corr_same_2d,
     forward,
 )
 from spotdeconv.kernels import Kernel1D, build_kernel_bank, make_scale_grid
@@ -137,7 +136,7 @@ def test_correlation_is_true_adjoint_for_asymmetric_taps():
     img = rng.standard_normal((7, 7))
     r = rng.standard_normal((7, 7))
     lhs = np.vdot(conv_same_2d(img, factor), r)
-    rhs = np.vdot(img, corr_same_2d(r, factor))
+    rhs = np.vdot(img, conv_same_2d(r, Kernel1D(factor.taps[::-1])))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -161,4 +160,4 @@ def test_adjoint_slices_are_contiguous_correlations():
     assert vol.shape == (40, 37, 3)
     assert np.moveaxis(vol, 2, 0).flags.c_contiguous
     for k, factor in enumerate(bank.factors):
-        np.testing.assert_array_equal(vol[:, :, k], corr_same_2d(r, factor))
+        np.testing.assert_array_equal(vol[:, :, k], conv_same_2d(r, Kernel1D(factor.taps[::-1])))

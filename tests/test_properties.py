@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spotdeconv.convolution import adjoint, conv_same_2d, corr_same_2d, forward
+from spotdeconv.convolution import adjoint, conv_same_2d, forward
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, make_scale_grid
@@ -148,7 +148,7 @@ def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
     factor = Kernel1D(taps)
     img = rng.standard_normal((rows, cols, 3))[:, :, 1]  # a strided slice, as forward() passes
     scale = np.sum(np.abs(taps)) ** 2 * np.max(np.abs(img))
-    conv, corr = conv_same_2d(img, factor), corr_same_2d(img, factor)
+    conv, corr = conv_same_2d(img, factor), conv_same_2d(img, Kernel1D(factor.taps[::-1]))
     refs = [(conv, ndimage_conv2d(img, taps)), (corr, ndimage_conv2d(img, taps, correlate=True))]
     if rows * cols <= 300:
         refs += [(conv, dense_conv2d(img, taps)), (corr, dense_conv2d(img, taps[::-1]))]
