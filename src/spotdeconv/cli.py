@@ -20,7 +20,7 @@ import numpy as np
 from . import codec
 from .convolution import forward
 from .detection import detect
-from .evaluation import best_report, threshold_sweep
+from .evaluation import DEFAULT_TOL, best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
 from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
@@ -205,12 +205,13 @@ def run_synth(cfg, bank):
     spec = cfg.scene
     if spec is None:
         raise ConfigError("config field 'scene' is missing")
+    noise_seed = spec.seed + 1
     with np.errstate(over="ignore", invalid="ignore"):
         a_true, gt = generate_scene(spec)
         clean = forward(a_true, bank)
         noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
                        else cfg.noise_sigma_rel * float(np.max(clean)))
-        d_obs = add_noise(clean, noise_sigma, spec.seed + 1)
+        d_obs = add_noise(clean, noise_sigma, noise_seed)
     if not np.isfinite(clean).all():
         raise ConfigError("config fields 'scene.amplitude'/'scene.scale_profile' "
                           "give a non-finite clean image")
@@ -221,7 +222,7 @@ def run_synth(cfg, bank):
     meta = {
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
-        "noise_seed": spec.seed + 1,
+        "noise_seed": noise_seed,
         "rows": spec.rows,
         "cols": spec.cols,
         "K": spec.depth,
@@ -242,10 +243,7 @@ def run_solve(cfg, bank, weights, d_obs):
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
     )
-    # A diverging run overflows before apg_solve sees a non-finite iterate
-    # and raises; its FloatingPointError is the one diagnostic to report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return apg_solve(d_obs, bank, solver_cfg)
+    return apg_solve(d_obs, bank, solver_cfg)
 
 
 def _check_tol(tol):
@@ -253,13 +251,16 @@ def _check_tol(tol):
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
 
 
-def _check_paths(inputs, outputs):
+def _check_paths(inputs, outputs, out_dir=None):
     """Reject, before any stage runs, an output path that names an input or an
     earlier output (the write would replace it), an existing directory, or a
     file in no existing directory (the write would fail after the earlier
-    outputs were written). The files in `--out-dir` need no existing
-    directory: the command creates it. Both are lists of (flag, path); a None
-    path is absent."""
+    outputs were written), and an `out_dir` (the --out-dir the command makes,
+    parents included) that is or lies under a file. Both lists hold (flag,
+    path) pairs; a None path is absent."""
+    made = None if out_dir is None else Path(out_dir).resolve()
+    if made is not None and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
+        raise ConfigError(f"--out-dir names a file or a path under one: {out_dir}")
     seen = [(flag, Path(path).resolve()) for flag, path in inputs if path is not None]
     for flag, path in outputs:
         if path is None:
@@ -270,7 +271,7 @@ def _check_paths(inputs, outputs):
                 raise ConfigError(f"{flag} and {other_flag} name the same file: {path}")
         if resolved.is_dir():
             raise ConfigError(f"{flag} names a directory: {path}")
-        if flag != "--out-dir" and not resolved.parent.is_dir():
+        if resolved.parent != made and not resolved.parent.is_dir():
             raise ConfigError(f"{flag} names a file in no existing directory: {path}")
         seen.append((flag, resolved))
 
@@ -330,7 +331,7 @@ def _cmd_synth(args):
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir)
     _check_paths([("--config", args.config)],
-                 [("--out-dir", out_dir / name) for name in SCENE_FILES])
+                 [("--out-dir", out_dir / name) for name in SCENE_FILES], out_dir)
     _write_scene(out_dir, *run_synth(cfg, _kernel_bank(cfg)))
     print(f"scene written to {args.out_dir}")
 
@@ -378,7 +379,7 @@ def _cmd_pipeline(args):
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir)
     _check_paths([("--config", args.config), ("config field 'weights.file'", cfg.weights_file)],
-                 [("--out-dir", out_dir / name) for name in SCENE_FILES + RUN_FILES])
+                 [("--out-dir", out_dir / name) for name in SCENE_FILES + RUN_FILES], out_dir)
     bank = _kernel_bank(cfg)
     a_true, d_obs, gt, meta = run_synth(cfg, bank)
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
@@ -424,7 +425,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score detections against ground truth")
     p.add_argument("--detections", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--tol", type=float, default=3.0)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     p.add_argument("--sweep", default=None)
     p.set_defaults(func=_cmd_evaluate)
@@ -432,7 +433,7 @@ def build_parser():
     p = sub.add_parser("pipeline", help="synth + solve + detect + evaluate")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tol", type=float, default=3.0)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

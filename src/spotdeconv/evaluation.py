@@ -2,9 +2,9 @@
 
 Detections are scored in (-p, row, col) order whatever order the caller
 passes them in, each matched to its nearest unmatched ground-truth point
-within a Euclidean tolerance (default 3 pixels). best_threshold sweeps every
-detection value plus +inf and keeps the report with maximal F1, breaking
-ties toward the largest threshold.
+within a Euclidean tolerance (default DEFAULT_TOL, in pixels). best_threshold
+sweeps every detection value plus +inf and keeps the report with maximal
+F1, breaking ties toward the largest threshold.
 
 Greedy matching in that order is prefix-stable: lowering the threshold only
 appends detections, and earlier matches never change. So the whole sweep is
@@ -14,6 +14,8 @@ one matching pass that emits a report after each run of equal p.
 from dataclasses import dataclass
 
 import numpy as np
+
+DEFAULT_TOL = 3.0  # matching tolerance in pixels, also the CLI's --tol default
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def _greedy_pass(dets, gt, tol):
     return steps
 
 
-def match(dets, gt, tol=3.0):
+def match(dets, gt, tol=DEFAULT_TOL):
     """Greedy matching; returns (TP, FP, FN, pairing).
 
     pairing maps detection index (into dets as passed) -> ground-truth
@@ -84,24 +86,23 @@ def _report(threshold, tp, fp, fn):
     )
 
 
-def evaluate_at(dets, gt, threshold, tol=3.0):
+def evaluate_at(dets, gt, threshold, tol=DEFAULT_TOL):
     kept = [d for d in dets if d.pseudo_likelihood >= threshold]
     tp, fp, fn, _ = match(kept, gt, tol)
     return _report(threshold, tp, fp, fn)
 
 
-def threshold_sweep(dets, gt, tol=3.0):
+def threshold_sweep(dets, gt, tol=DEFAULT_TOL):
     """One EvalReport per candidate threshold ({p_l} union {+inf}),
     in descending threshold order, from a single matching pass."""
-    thresholds = [np.inf] + sorted({d.pseudo_likelihood for d in dets}, reverse=True)
-    steps = _greedy_pass(dets, gt, tol)
-    reports = []
-    tp = scored = 0
-    for thr in thresholds:
-        while scored < len(steps) and dets[steps[scored][0]].pseudo_likelihood >= thr:
-            tp += steps[scored][1] is not None
-            scored += 1
-        reports.append(_report(thr, tp, scored - tp, len(gt) - tp))
+    reports = [_report(np.inf, 0, 0, len(gt))]
+    tp = 0
+    for scored, (di, gi) in enumerate(_greedy_pass(dets, gt, tol), start=1):
+        tp += gi is not None
+        p = dets[di].pseudo_likelihood
+        if reports[-1].threshold == p:  # a tie: this report replaces the last
+            reports.pop()
+        reports.append(_report(p, tp, scored - tp, len(gt) - tp))
     return reports
 
 
@@ -111,7 +112,6 @@ def best_report(sweep):
     return max(sweep, key=lambda report: report.f1)
 
 
-def best_threshold(dets, gt, tol=3.0):
-    """Report with the best F1 across the sweep; ties keep the largest
-    threshold (fewest detections)."""
+def best_threshold(dets, gt, tol=DEFAULT_TOL):
+    """best_report of the threshold sweep."""
     return best_report(threshold_sweep(dets, gt, tol))

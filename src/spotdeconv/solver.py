@@ -26,9 +26,9 @@ shrink then sums K contiguous planes. progress() sees (M, N, K) views,
 and a_opt is a C-contiguous (M, N, K) copy made once per solve.
 
 The one other exit is overflow: a non-finite objective or relative change
-raises FloatingPointError. A non-finite iterate entry makes its group
-norm, and so the objective, non-finite, so this one scalar check per
-iteration catches it. Diagnostics come from the `progress` hook.
+raises FloatingPointError, with numpy's warnings off whoever calls. A
+non-finite iterate makes its group norm, and so the objective, non-finite:
+one scalar check per iteration catches it. Diagnostics use `progress`.
 
 Bookkeeping note: the gradient step uses eta times adjoint(w^2 . residual),
 i.e. without the factor 2 from differentiating the squared norm, and the
@@ -172,45 +172,46 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     objectives = []
     restarts = start = 0
     mom_state = None
-    for i in range(1, cfg.max_iters + 1):
-        # Steps 1-3 in place on the volume that adjoint() returns.
-        a_new = np.moveaxis(adjoint(w2 * (fb - d_obs), bank), 2, 0)
-        a_new *= -eta
-        a_new += b
-        np.maximum(a_new, 0.0, out=a_new)
-        regularizer = _shrink(a_new, kappa)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported once, below
+        for i in range(1, cfg.max_iters + 1):
+            # Steps 1-3 in place on the volume that adjoint() returns.
+            a_new = np.moveaxis(adjoint(w2 * (fb - d_obs), bank), 2, 0)
+            a_new *= -eta
+            a_new += b
+            np.maximum(a_new, 0.0, out=a_new)
+            regularizer = _shrink(a_new, kappa)
 
-        diff = a_new - a
-        rel_change = frobenius_norm(diff) / max(frobenius_norm(a), 1e-12)
-        b -= a_new
-        if np.vdot(b, diff) > 0:  # the step went uphill: restart the momentum
-            restarts, start, mom_state = restarts + 1, i - 1, None
-        alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
-        np.multiply(diff, alpha, out=b)
-        b += a_new
-        del diff  # before forward(): at most four volumes are alive, a, b, a_new, diff
+            diff = a_new - a
+            rel_change = frobenius_norm(diff) / max(frobenius_norm(a), 1e-12)
+            b -= a_new
+            if np.vdot(b, diff) > 0:  # the step went uphill: restart the momentum
+                restarts, start, mom_state = restarts + 1, i - 1, None
+            alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
+            np.multiply(diff, alpha, out=b)
+            b += a_new
+            del diff  # before forward(): at most four volumes are alive, a, b, a_new, diff
 
-        fa_new = forward(np.moveaxis(a_new, 0, 2), bank)
-        fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
-        fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
-        objectives.append(float(fidelity + cfg.lam * regularizer))
-        if not (np.isfinite(objectives[-1]) and np.isfinite(rel_change)):
-            raise FloatingPointError(
-                f"divergence: float64 overflow at iteration {i} (objective {objectives[-1]!r}): "
-                "the step is too large for the kernels, or the data too large for float64"
-            )
-        # The hook comes after the extrapolation, which writes only b: it
-        # gets a_new, and the loop never writes a_new (then a) again.
-        if progress is not None:
-            progress(i, rel_change, np.moveaxis(a_new, 0, 2))
-        a, fa = a_new, fa_new
-        if rel_change <= cfg.rel_tol:
-            break
+            fa_new = forward(np.moveaxis(a_new, 0, 2), bank)
+            fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
+            fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
+            objectives.append(float(fidelity + cfg.lam * regularizer))
+            if not (np.isfinite(objectives[-1]) and np.isfinite(rel_change)):
+                raise FloatingPointError(
+                    f"divergence: float64 overflow at iteration {i} "
+                    f"(objective {objectives[-1]!r}): the step is too large for the kernels, "
+                    "or the data too large for float64")
+            # The hook comes after the extrapolation, which writes only b: it
+            # gets a_new, and the loop never writes a_new (then a) again.
+            if progress is not None:
+                progress(i, rel_change, np.moveaxis(a_new, 0, 2))
+            a, fa = a_new, fa_new
+            if rel_change <= cfg.rel_tol:
+                break
 
-    del b  # group_norm_image(a_opt) below squares a whole volume
-    a_opt = np.moveaxis(a, 0, 2).copy()  # C order
-    # The reported final objective sums the same group norms as objective().
-    objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))
+        del b  # group_norm_image(a_opt) below squares a whole volume
+        a_opt = np.moveaxis(a, 0, 2).copy()  # C order
+        # The reported final objective sums the same group norms as objective().
+        objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))
     return SolveResult(a_opt=a_opt, iterations=i, final_rel_change=float(rel_change),
                        objectives=objectives, restarts=restarts,
                        converged=bool(rel_change <= cfg.rel_tol))

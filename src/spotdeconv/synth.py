@@ -93,8 +93,6 @@ def generate_scene(spec):
 
 def add_noise(clean, noise_sigma, seed):
     """`clean` plus i.i.d. Gaussian noise of std `noise_sigma` (not clamped at 0)."""
-    if noise_sigma == 0:
-        return clean
     rng = np.random.default_rng(seed)
     return clean + noise_sigma * rng.standard_normal(clean.shape)
 

@@ -475,6 +475,26 @@ def test_pipeline_out_dir_file_is_a_directory_exit_code(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("under", ["", "sub", "sub/deeper"], ids=["file", "under", "deeper"])
+def test_out_dir_on_a_file_exit_code(tmp_path, capsys, monkeypatch, command, under):
+    # --out-dir is a file, or lies under one, so it cannot be made: the command
+    # says so, naming the flag, before any stage runs.
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    cfg = _write_config(tmp_path)
+
+    def no_stage(spec):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(cli, "generate_scene", no_stage)
+    out = str(afile / under)
+    rc = main([command, "--config", cfg, "--out-dir", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: --out-dir names a file or a path under one: {out}\n"
+    assert afile.read_text() == "kept"
+
+
 def test_solve_weights_shape_exit_code(tmp_path, capsys):
     # apg_solve checks the weights' shape for solve as for pipeline.
     obs_path, w_path = tmp_path / "d_obs.f64t", tmp_path / "w.f64t"

@@ -154,3 +154,15 @@ def test_shuffled_detections_give_same_sweep_and_best():
         shuffled = [dets[i] for i in rng.permutation(len(dets))]
         assert threshold_sweep(shuffled, gt, tol=3.0) == threshold_sweep(dets, gt, tol=3.0)
         assert best_threshold(shuffled, gt, tol=3.0) == best_threshold(dets, gt, tol=3.0)
+
+
+def test_sweep_equals_evaluate_at_each_distinct_threshold():
+    # Tied values give one report each, in descending order after +inf.
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        dets = [_det(rng.integers(0, 8), rng.integers(0, 8), rng.choice([0.2, 0.5, 0.9]))
+                for _ in range(int(rng.integers(0, 12)))]
+        gt = [(float(rng.integers(0, 8)), float(rng.integers(0, 8)))
+              for _ in range(int(rng.integers(0, 6)))]
+        thresholds = [np.inf] + sorted({d.pseudo_likelihood for d in dets}, reverse=True)
+        assert threshold_sweep(dets, gt) == [evaluate_at(dets, gt, thr) for thr in thresholds]

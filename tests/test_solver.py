@@ -433,3 +433,14 @@ def test_peak_memory_at_most_six_volumes():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * a_true.nbytes
+
+
+def test_diverging_solve_raises_divergence_whoever_calls():
+    # At sigma_max 0.4 px and K = 8 the paper's step is outside FISTA's
+    # guarantee and the iterate overflows. Called directly, under the suite's
+    # error::RuntimeWarning filter, the solve raises its own divergence error,
+    # not the numpy overflow warning of the first operation that overflows.
+    d_obs = np.random.default_rng(0).random((8, 8))
+    bank = build_kernel_bank(make_scale_grid(0.4, 8))
+    with pytest.raises(FloatingPointError, match="^divergence: float64 overflow at iteration "):
+        apg_solve(d_obs, bank, SolverConfig(lam=0.0, weights=np.ones((8, 8))))
