@@ -22,8 +22,10 @@ The loop holds its volumes slice-major, as C-contiguous (K, M, N) arrays,
 because forward() and adjoint() work one scale slice at a time: it hands
 forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose slices need no
 copy, and takes adjoint()'s (K, M, N) buffer as the next iterate. The
-shrink then sums K contiguous planes. progress() sees (M, N, K) views,
-and a_opt is a C-contiguous (M, N, K) copy made once per solve.
+shrink then sums K contiguous planes. Four volumes are alive in the loop:
+a, a_new (adjoint()'s fresh buffer), step and diff (both allocated once
+and refilled in place). progress() sees (M, N, K) views, and a_opt is a
+C-contiguous (M, N, K) copy made once per solve.
 
 The one other exit is overflow: a non-finite objective or relative change
 raises FloatingPointError, with numpy's warnings off whoever calls. A
@@ -34,16 +36,25 @@ Bookkeeping note: the gradient step uses eta times adjoint(w^2 . residual),
 i.e. without the factor 2 from differentiating the squared norm, and the
 shrinkage threshold is (eta/2)*lambda. Together this equals proximal
 gradient with step eta/2 on the objective above; fixed-point and oracle
-tests rely on that correspondence.
+tests rely on that correspondence. The loop pre-scales the image-sized
+residual by -eta*w^2, so adjoint() returns the gradient step itself. It
+never forms b: it keeps step = b - a = alpha*(a - a_prev), and a_new
+starts as that gradient step + a + step. The shrink returns ||a_new||^2
+next to the regularizer, for the next rel_change to divide by. The
+restart test <b - a_new, diff> > 0 (diff = a_new - a) is computed as
+<step, diff> - ||diff||^2, from the ||diff||^2 of rel_change. These sums
+associate differently from the textbook loop, so the two agree to
+round-off, not bit for bit (tests/oracles.py holds the textbook loop).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .convolution import adjoint, forward
-from .tensors import frobenius_norm, group_norm_image
+from .tensors import group_norm_image
 
 BECK = "beck"
 CHAMBOLLE = "chambolle"
@@ -116,12 +127,13 @@ def momentum_alpha(scheme, i, state=None, chambolle_a=3.0):
 
 def _shrink(v, kappa):
     """prox_group in place on a (K, M, N) volume v. Returns the regularizer
-    sum_{m,n} ||v[:,m,n]|| of the result, which is sum max(rho - kappa, 0)
-    over the input norms rho."""
+    sum_{m,n} ||v[:,m,n]|| of the result and its squared Frobenius norm
+    ||v||^2, i.e. the sums of max(rho - kappa, 0) and of its square over
+    the input norms rho."""
     rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
     shrunk = np.maximum(rho - kappa, 0.0)
     v *= np.divide(shrunk, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return float(shrunk.sum())
+    return float(shrunk.sum()), float(np.vdot(shrunk, shrunk))
 
 
 def prox_group(v, kappa):
@@ -162,12 +174,14 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
             f"weights shape {cfg.weights.shape} does not match observation {d_obs.shape}"
         )
     eta = step_size(bank.grid.sigma_max_pixels, cfg.weights)
-    w2 = cfg.weights * cfg.weights
     kappa = 0.5 * eta * cfg.lam
 
     a = np.zeros((bank.num_kernels, m, n))
-    b = a.copy()  # its own buffer: the loop writes b in place, never a
+    step = np.zeros_like(a)  # b - a; the loop writes it in place, never a
+    diff = np.empty_like(a)  # a_new - a, refilled each iteration
+    norm2_a = 0.0  # ||a||^2
     fa = fb = np.zeros((m, n))  # forward(a) of the zero start
+    scale = -eta * np.square(cfg.weights)  # the residual's factor in the gradient step
 
     objectives = []
     restarts = start = 0
@@ -175,21 +189,19 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported once, below
         for i in range(1, cfg.max_iters + 1):
             # Steps 1-3 in place on the volume that adjoint() returns.
-            a_new = np.moveaxis(adjoint(w2 * (fb - d_obs), bank), 2, 0)
-            a_new *= -eta
-            a_new += b
+            a_new = np.moveaxis(adjoint(scale * (fb - d_obs), bank), 2, 0)
+            a_new += a
+            a_new += step
             np.maximum(a_new, 0.0, out=a_new)
-            regularizer = _shrink(a_new, kappa)
+            regularizer, norm2_new = _shrink(a_new, kappa)
 
-            diff = a_new - a
-            rel_change = frobenius_norm(diff) / max(frobenius_norm(a), 1e-12)
-            b -= a_new
-            if np.vdot(b, diff) > 0:  # the step went uphill: restart the momentum
+            np.subtract(a_new, a, out=diff)
+            norm2_diff = float(np.vdot(diff, diff))
+            rel_change = math.sqrt(norm2_diff) / max(math.sqrt(norm2_a), 1e-12)
+            if np.vdot(step, diff) - norm2_diff > 0:  # <b - a_new, diff> > 0: restart
                 restarts, start, mom_state = restarts + 1, i - 1, None
             alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
-            np.multiply(diff, alpha, out=b)
-            b += a_new
-            del diff  # before forward(): at most four volumes are alive, a, b, a_new, diff
+            np.multiply(diff, alpha, out=step)
 
             fa_new = forward(np.moveaxis(a_new, 0, 2), bank)
             fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
@@ -200,15 +212,15 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
                     f"divergence: float64 overflow at iteration {i} "
                     f"(objective {objectives[-1]!r}): the step is too large for the kernels, "
                     "or the data too large for float64")
-            # The hook comes after the extrapolation, which writes only b: it
-            # gets a_new, and the loop never writes a_new (then a) again.
+            # The hook comes after the extrapolation, which writes only step:
+            # it gets a_new, and the loop never writes a_new (then a) again.
             if progress is not None:
                 progress(i, rel_change, np.moveaxis(a_new, 0, 2))
-            a, fa = a_new, fa_new
+            a, fa, norm2_a = a_new, fa_new, norm2_new
             if rel_change <= cfg.rel_tol:
                 break
 
-        del b  # group_norm_image(a_opt) below squares a whole volume
+        del step, diff  # group_norm_image(a_opt) below squares a whole volume
         a_opt = np.moveaxis(a, 0, 2).copy()  # C order
         # The reported final objective sums the same group norms as objective().
         objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))

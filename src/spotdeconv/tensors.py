@@ -32,7 +32,3 @@ def as_volume(arr):
 def group_norm_image(v):
     """Per-pixel Euclidean norm across the scale axis: out[m,n] = ||v[m,n,:]||_2."""
     return np.sqrt(np.einsum("mnk,mnk->mn", v, v))
-
-
-def frobenius_norm(a):
-    return float(np.sqrt(np.vdot(a, a).real))

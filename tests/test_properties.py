@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from spotdeconv.convolution import adjoint, conv_same_2d, forward
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
-from spotdeconv.kernels import Kernel1D, KernelBank, make_scale_grid
-from spotdeconv.solver import prox_group
+from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
+from spotdeconv.solver import (
+    BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, _shrink, apg_solve, prox_group,
+)
 from spotdeconv.tensors import group_norm_image
 
 from oracles import (
@@ -48,6 +50,41 @@ def test_prox_group_norm_law(values, kappa):
     # shrinkage never flips sign or exceeds the input
     assert np.all(out >= 0)
     assert np.all(out <= v + 1e-12)
+
+
+# Zeros and entries far above underflow, so that every square is a normal double.
+volumes = arrays(
+    np.float64,
+    array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
+    elements=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=100)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(volumes, st.floats(min_value=0, max_value=150))
+def test_shrink_returns_squared_norm_of_result(v, kappa):
+    _, norm2 = _shrink(v, kappa)
+    np.testing.assert_allclose(norm2, np.vdot(v, v), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([BECK, CHAMBOLLE, NO_MOMENTUM]),
+       st.floats(min_value=0, max_value=0.5))
+def test_progress_rel_change_is_relative_step(seed, momentum, lam):
+    # The loop divides by the norm its shrink returned; recompute both norms
+    # from copies of consecutive iterates (the zero start comes first).
+    rng = np.random.default_rng(seed)
+    bank = build_kernel_bank(make_scale_grid(float(rng.uniform(1.0, 2.5)), 2))
+    d_obs = rng.uniform(0.0, 2.0, size=(7, 6))
+    cfg = SolverConfig(lam=lam, weights=rng.uniform(0.5, 1.5, size=d_obs.shape),
+                       momentum=momentum, max_iters=30)
+    seen = []
+    apg_solve(d_obs, bank, cfg, progress=lambda i, rel, a: seen.append((rel, a.copy())))
+    prev = np.zeros_like(seen[0][1])
+    for rel, a in seen:
+        want = np.linalg.norm(a - prev) / max(np.linalg.norm(prev), 1e-12)
+        np.testing.assert_allclose(rel, want, rtol=1e-12, atol=0)
+        prev = a
 
 
 # Integer grid positions and a few p values make tied likelihoods,

@@ -17,13 +17,14 @@ from spotdeconv.solver import (
     prox_group,
     step_size,
 )
-from spotdeconv.tensors import frobenius_norm, group_norm_image
+from spotdeconv.tensors import group_norm_image
 
 from oracles import (
     coordinate_descent_minimize,
     grid_refine_minimize,
     naive_objective,
     prox_group_pixel_oracle,
+    reference_fista,
 )
 
 # Beck extrapolation coefficients alpha(1..5), frozen from a 60-digit
@@ -241,7 +242,7 @@ def test_converged_point_is_fixed():
     eta = step_size(bank.grid.sigma_max_pixels, cfg.weights)
     grad = adjoint(cfg.weights**2 * (forward(a, bank) - d_obs), bank)
     one_step = prox_group(np.maximum(a - eta * grad, 0.0), 0.5 * eta * cfg.lam)
-    change = frobenius_norm(one_step - a) / frobenius_norm(a)
+    change = np.linalg.norm(one_step - a) / np.linalg.norm(a)
     assert change <= 10 * rel_tol
 
 
@@ -352,6 +353,23 @@ def test_restart_reaches_ista_objective(seed, momentum):
         assert res.iterations < cfg.max_iters
         objs.append(objective(res.a_opt, d_obs, w, bank, lam))
     assert objs[0] == pytest.approx(objs[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("momentum", [BECK, CHAMBOLLE, NO_MOMENTUM])
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_matches_textbook_fista(seed, momentum):
+    # The loop carries step = b - a, takes ||a|| from the shrink and tests
+    # restart from ||diff||^2; the oracle forms b and every norm directly.
+    bank, d_obs, w, lam = _random_problem(40 + seed, shape=(14, 12), depth=3)
+    cfg = SolverConfig(lam=lam, weights=w, momentum=momentum, max_iters=500, rel_tol=1e-8)
+    res = apg_solve(d_obs, bank, cfg)
+    eta = step_size(bank.grid.sigma_max_pixels, w)
+    a, iterations, restarts, objectives = reference_fista(
+        d_obs, bank, w, lam, eta, momentum, cfg.max_iters, cfg.rel_tol)
+    assert (res.iterations, res.restarts) == (iterations, restarts)
+    assert momentum == NO_MOMENTUM or restarts > 0
+    np.testing.assert_allclose(res.objectives, objectives, rtol=1e-12, atol=0)
+    assert np.linalg.norm(res.a_opt - a) <= 1e-12 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("momentum", [BECK, CHAMBOLLE])
