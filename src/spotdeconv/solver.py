@@ -19,13 +19,16 @@ no extra convolution. The last value is computed as objective() computes
 it, so it equals objective(a_opt).
 
 The loop holds its volumes slice-major, as C-contiguous (K, M, N) arrays,
-because forward() and adjoint() work one scale slice at a time: it hands
-forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose slices need no
-copy, and takes adjoint()'s (K, M, N) buffer as the next iterate. The
-shrink then sums K contiguous planes. Four volumes are alive in the loop:
-a, a_new (adjoint()'s fresh buffer), step and diff (both allocated once
-and refilled in place). progress() sees (M, N, K) views, and a_opt is a
-C-contiguous (M, N, K) copy made once per solve.
+because forward() and adjoint() batch their GEMMs over contiguous scale
+slices: it hands forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose
+slices need no copy, and takes adjoint()'s (K, M, N) buffer as the next
+iterate. The shrink then sums K contiguous planes. Four volumes are alive
+in the loop: a, a_new (adjoint()'s fresh buffer), step and diff (both
+allocated once and refilled in place). diff doubles as the workspace of
+both operator calls, where it is free: adjoint() runs before diff is
+refilled, forward() after step has consumed it. progress() sees
+(M, N, K) views, and a_opt is a C-contiguous (M, N, K) copy made once
+per solve.
 
 The one other exit is overflow: a non-finite objective or relative change
 raises FloatingPointError, with numpy's warnings off whoever calls. A
@@ -59,6 +62,8 @@ from .tensors import group_norm_image
 BECK = "beck"
 CHAMBOLLE = "chambolle"
 NO_MOMENTUM = "none"
+
+_LEAST_POSITIVE = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass
@@ -132,8 +137,12 @@ def _shrink(v, kappa):
     the input norms rho."""
     rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
     shrunk = np.maximum(rho - kappa, 0.0)
-    v *= np.divide(shrunk, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return float(shrunk.sum()), float(np.vdot(shrunk, shrunk))
+    sums = float(shrunk.sum()), float(np.vdot(shrunk, shrunk))
+    # shrunk is 0 wherever rho is 0 (kappa >= 0): dividing by rho raised to the
+    # least positive double gives the masked quotient (0 there) bit for bit.
+    shrunk /= np.maximum(rho, _LEAST_POSITIVE, out=rho)
+    v *= shrunk
+    return sums
 
 
 def prox_group(v, kappa):
@@ -178,7 +187,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
 
     a = np.zeros((bank.num_kernels, m, n))
     step = np.zeros_like(a)  # b - a; the loop writes it in place, never a
-    diff = np.empty_like(a)  # a_new - a, refilled each iteration
+    diff = np.empty_like(a)  # a_new - a, refilled each iteration; the operators' workspace
     norm2_a = 0.0  # ||a||^2
     fa = fb = np.zeros((m, n))  # forward(a) of the zero start
     scale = -eta * np.square(cfg.weights)  # the residual's factor in the gradient step
@@ -189,7 +198,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported once, below
         for i in range(1, cfg.max_iters + 1):
             # Steps 1-3 in place on the volume that adjoint() returns.
-            a_new = np.moveaxis(adjoint(scale * (fb - d_obs), bank), 2, 0)
+            a_new = np.moveaxis(adjoint(scale * (fb - d_obs), bank, work=diff), 2, 0)
             a_new += a
             a_new += step
             np.maximum(a_new, 0.0, out=a_new)
@@ -203,7 +212,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
             alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
             np.multiply(diff, alpha, out=step)
 
-            fa_new = forward(np.moveaxis(a_new, 0, 2), bank)
+            fa_new = forward(np.moveaxis(a_new, 0, 2), bank, work=diff)
             fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
             fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
             objectives.append(float(fidelity + cfg.lam * regularizer))

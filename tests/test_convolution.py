@@ -1,38 +1,44 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spotdeconv.convolution import (
-    adjoint,
-    conv_same_2d,
-    forward,
-)
-from spotdeconv.kernels import Kernel1D, build_kernel_bank, make_scale_grid
+from spotdeconv import convolution
+from spotdeconv.convolution import adjoint, forward
+from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
 
-from oracles import dense_conv2d, operator_matrix
+from oracles import dense_conv2d, ndimage_conv2d, operator_matrix
 
 
 def _near_delta_bank(depth=1):
     return build_kernel_bank(make_scale_grid(0.1 * depth, depth))
 
 
+def _conv(img, taps):
+    """forward() of the one kernel taps x taps on the image img."""
+    bank = KernelBank(grid=make_scale_grid(1.0, 1), factors=(Kernel1D(np.asarray(taps, float)),))
+    return forward(img[:, :, None], bank)
+
+
 # On a 1 x 3 image the vertical pass sees only the centre tap, so
-# conv_same_2d reduces to the 1-D convolution along the row.
+# forward() reduces to the 1-D convolution along the row.
 def test_conv1d_identity_kernel():
     sig = np.array([[1.0, -2.0, 3.0]])
-    np.testing.assert_array_equal(conv_same_2d(sig, Kernel1D(np.array([1.0]))), sig)
+    np.testing.assert_array_equal(_conv(sig, [1.0]), sig)
 
 
 def test_conv1d_box_zero_padding():
-    out = conv_same_2d(np.array([[1.0, 2.0, 3.0]]), Kernel1D(np.ones(3)))
+    out = _conv(np.array([[1.0, 2.0, 3.0]]), np.ones(3))
     np.testing.assert_allclose(out, [[3.0, 6.0, 5.0]])
 
 
 def test_conv2d_kernel_larger_than_image():
-    factor = build_kernel_bank(make_scale_grid(3.0, 1)).factors[0]
-    img = np.ones((2, 2))
-    out = conv_same_2d(img, factor)
+    bank = build_kernel_bank(make_scale_grid(3.0, 1))
+    assert bank.factors[0].radius > 2
+    out = forward(np.ones((2, 2, 1)), bank)
     assert out.shape == (2, 2)
-    assert np.all(np.isfinite(out))
+    want = dense_conv2d(np.ones((2, 2)), bank.factors[0].taps)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_separable_matches_dense():
@@ -41,7 +47,7 @@ def test_separable_matches_dense():
     for factor in bank.factors:
         img = rng.standard_normal((9, 9))
         np.testing.assert_allclose(
-            conv_same_2d(img, factor), dense_conv2d(img, factor.taps), atol=1e-12
+            _conv(img, factor.taps), dense_conv2d(img, factor.taps), atol=1e-12
         )
 
 
@@ -126,17 +132,21 @@ def test_adjoint_equals_convolution_by_symmetry():
     r = rng.standard_normal((12, 12))
     vol = adjoint(r, bank)
     for k, factor in enumerate(bank.factors):
-        np.testing.assert_allclose(vol[:, :, k], conv_same_2d(r, factor), atol=1e-12)
+        np.testing.assert_allclose(vol[:, :, k], _conv(r, factor.taps), atol=1e-12)
+        np.testing.assert_allclose(vol[:, :, k], ndimage_conv2d(r, factor.taps), atol=1e-12)
 
 
 def test_correlation_is_true_adjoint_for_asymmetric_taps():
     # structural check with a deliberately non-palindromic kernel
-    factor = Kernel1D(taps=np.array([0.1, 0.5, 0.2]))
+    taps = np.array([0.1, 0.5, 0.2])
+    bank = KernelBank(grid=make_scale_grid(1.0, 1), factors=(Kernel1D(taps),))
     rng = np.random.default_rng(17)
     img = rng.standard_normal((7, 7))
     r = rng.standard_normal((7, 7))
-    lhs = np.vdot(conv_same_2d(img, factor), r)
-    rhs = np.vdot(img, conv_same_2d(r, Kernel1D(factor.taps[::-1])))
+    corr = adjoint(r, bank)[:, :, 0]
+    np.testing.assert_allclose(corr, ndimage_conv2d(r, taps, correlate=True), atol=1e-12)
+    lhs = np.vdot(forward(img[:, :, None], bank), r)
+    rhs = np.vdot(img, corr)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -160,4 +170,27 @@ def test_adjoint_slices_are_contiguous_correlations():
     assert vol.shape == (40, 37, 3)
     assert np.moveaxis(vol, 2, 0).flags.c_contiguous
     for k, factor in enumerate(bank.factors):
-        np.testing.assert_array_equal(vol[:, :, k], conv_same_2d(r, Kernel1D(factor.taps[::-1])))
+        np.testing.assert_allclose(
+            vol[:, :, k], ndimage_conv2d(r, factor.taps, correlate=True), atol=1e-12)
+
+
+def test_bands_follow_the_image_not_the_truncation():
+    # On a 16 x 16 image no tap further than 15 px from the centre meets a
+    # pixel: the bands are clipped there, so the operators give the same bits
+    # at both truncations, and one call's bands stay small (unclipped, the
+    # widest kernel's band alone would take ~27 MB per stack at 20,000).
+    grid = make_scale_grid(3.0, 4)
+    banks = [build_kernel_bank(grid, truncation) for truncation in (4000.0, 20000.0)]
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((16, 16, 4))
+    r = rng.standard_normal((16, 16))
+    for op, arg in ((forward, a), (adjoint, r)):
+        convolution._stacks.cache_clear()  # the call builds its bands
+        tracemalloc.start()
+        try:
+            got = op(arg, banks[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        np.testing.assert_array_equal(got, op(arg, banks[0]))

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spotdeconv.convolution import adjoint, conv_same_2d, forward
+from spotdeconv.convolution import adjoint, forward
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
@@ -65,6 +65,30 @@ volumes = arrays(
 def test_shrink_returns_squared_norm_of_result(v, kappa):
     _, norm2 = _shrink(v, kappa)
     np.testing.assert_allclose(norm2, np.vdot(v, v), rtol=1e-12, atol=0)
+
+
+# Zeros, tiny entries whose squares underflow (norms of 0 and subnormal
+# norms) and ordinary ones, in one volume.
+underflowing_volumes = arrays(
+    np.float64,
+    array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
+    elements=st.one_of(st.just(0.0), st.floats(min_value=1e-200, max_value=1e-150),
+                       st.floats(min_value=1e-3, max_value=100)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(underflowing_volumes, st.one_of(st.just(0.0), st.floats(min_value=0, max_value=150)))
+@example(np.zeros((2, 3, 3)), 0.0)
+@example(np.full((2, 2, 2), 1e-170), 0.0)
+def test_shrink_factor_equals_masked_quotient(v, kappa):
+    # The factor (rho - kappa)_+ / rho, 0 where rho is 0, as a masked divide.
+    rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
+    shrunk = np.maximum(rho - kappa, 0.0)
+    want = v * np.divide(shrunk, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    got = v.copy()
+    _shrink(got, kappa)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)
@@ -182,10 +206,11 @@ def _taps(rng, radius, symmetric):
 def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
     rng = np.random.default_rng(seed)
     taps = _taps(rng, radius, symmetric)
-    factor = Kernel1D(taps)
-    img = rng.standard_normal((rows, cols, 3))[:, :, 1]  # a strided slice, as forward() passes
+    bank = KernelBank(grid=make_scale_grid(1.0, 1), factors=(Kernel1D(taps),))
+    vol = rng.standard_normal((rows, cols, 3))[:, :, 1:2]  # a strided one-slice volume
+    img = vol[:, :, 0]
     scale = np.sum(np.abs(taps)) ** 2 * np.max(np.abs(img))
-    conv, corr = conv_same_2d(img, factor), conv_same_2d(img, Kernel1D(factor.taps[::-1]))
+    conv, corr = forward(vol, bank), adjoint(img, bank)[:, :, 0]
     refs = [(conv, ndimage_conv2d(img, taps)), (corr, ndimage_conv2d(img, taps, correlate=True))]
     if rows * cols <= 300:
         refs += [(conv, dense_conv2d(img, taps)), (corr, dense_conv2d(img, taps[::-1]))]
@@ -195,14 +220,33 @@ def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 11), min_size=4, max_size=4), st.integers(0, 2**32 - 1))
-def test_forward_adjoint_inner_product(radii, seed):
+@given(sides, sides, st.lists(st.integers(0, 11), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+@example(65, 33, [0, 4, 7, 11], 0)
+@example(1, 65, [11, 0, 5, 2], 1)
+@example(65, 1, [2, 11, 0, 5], 2)
+@example(33, 64, [11, 11, 1, 0], 3)
+@example(2, 3, [11, 0, 1, 6], 4)  # the widest kernel outreaches the image
+def test_forward_adjoint_inner_product(rows, cols, radii, seed):
+    # Kernels of mixed radii share one band width; each still acts as itself.
     rng = np.random.default_rng(seed)
     factors = tuple(Kernel1D(_taps(rng, radius, symmetric=False)) for radius in radii)
     bank = KernelBank(grid=make_scale_grid(3.0, len(factors)), factors=factors)
-    a = rng.standard_normal((65, 33, 4))
-    r = rng.standard_normal((65, 33))
-    lhs = np.vdot(forward(a, bank), r)
-    rhs = np.vdot(a, adjoint(r, bank))
-    norm = sum(np.sum(np.abs(f.taps)) ** 2 for f in factors)  # bounds the operator norm
+    a = np.moveaxis(rng.standard_normal((4, rows, cols)), 0, 2)  # slice-major, as in the solver
+    r = rng.standard_normal((rows, cols))
+    fa, ar = forward(a, bank), adjoint(r, bank)
+    lhs = np.vdot(fa, r)
+    rhs = np.vdot(a, ar)
+    mass = [np.sum(np.abs(f.taps)) ** 2 for f in factors]
+    norm = sum(mass)  # bounds the operator norm
     assert abs(lhs - rhs) <= 1e-12 * norm * np.linalg.norm(a) * np.linalg.norm(r)
+    want = sum(ndimage_conv2d(a[:, :, k], f.taps) for k, f in enumerate(factors))
+    assert np.max(np.abs(fa - want)) <= 1e-12 * norm * np.max(np.abs(a))
+    for k, f in enumerate(factors):
+        want = ndimage_conv2d(r, f.taps, correlate=True)
+        assert np.max(np.abs(ar[:, :, k] - want)) <= 1e-12 * mass[k] * np.max(np.abs(r))
+    # Whatever the workspace holds on entry never reaches the result.
+    work = np.full(a.size, np.nan)
+    np.testing.assert_array_equal(forward(a, bank, work=work), fa)
+    work.fill(np.nan)
+    np.testing.assert_array_equal(adjoint(r, bank, work=work), ar)
