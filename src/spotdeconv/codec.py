@@ -77,10 +77,12 @@ def write_table(path, header, rows):
     """Write a headed CSV table, the mirror of _read_table: each value, a Python
     or numpy int or float, as its str, the shortest string that reads back
     bit-exactly. Lines end in CRLF, as the csv module writes them; no number
-    needs quoting."""
+    needs quoting. The table is formatted as one string and written once; %s
+    is str, where numpy 2's repr would write np.float64(...)."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    text = "".join([",".join(header) + "\r\n"] + [line % tuple(row) for row in rows])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        fh.write(text)
 
 
 def write_detections_csv(path, dets):

@@ -18,17 +18,22 @@ O(M * N * K * (BLOCK + 2R)) flops.
 adjoint() runs both passes K-batched on the correlation bands: the row
 pass of the shared r into a (K, M, N) workspace, the column pass from it
 into a fresh C-order (K, M, N) buffer, of which it returns the (M, N, K)
-view, so np.moveaxis(adjoint(r, bank), 2, 0) is that buffer's layout
+view, so adjoint(r, bank).transpose(2, 0, 1) is that buffer's layout
 again. forward() runs the K-batched row pass on the convolution bands
 into an interleaved (N, K, M) workspace, then one GEMM per column block
 against the interleaved (BLOCK, K * (BLOCK + 2R)) band whose column
 j * K + k is kernel k's column j: the sum over k happens inside the
 GEMM. forward() reads each slice in place when the volume holds it
-contiguously, as the (M, N, K) view np.moveaxis(v, 0, 2) of a C-order
+contiguously, as the (M, N, K) view v.transpose(1, 2, 0) of a C-order
 (K, M, N) array does; any other layout costs one gather of the volume.
 
-Both take `work`, a float64 buffer of K * M * N elements that the call
-overwrites (a fresh one when None); its contents never reach the result.
+The blocks, their band slices and the workspace views depend only on the
+bank and (M, N), so make_plan() builds them once, as a Plan of
+(band block, input, output) triples over one workspace of K * M * N
+float64. Both operators take it as `plan`; without one, a call makes its
+own over a fresh workspace. A caller that applies the operators many
+times, as the solver does, makes one Plan and passes it to every call:
+then a call only slices its own input and fresh output and runs the GEMMs.
 
 A band holds its taps in order, which makes it a correlation; a
 convolution is the correlation with the reversed taps, the exact
@@ -38,6 +43,7 @@ differ by round-off only.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,11 +90,59 @@ def _blocks(size, radius):
         yield slice(i0, i0 + b), slice(lo, hi), b, lo - i0 + radius, hi - i0 + radius
 
 
-def _workspace(work, shape):
-    return np.empty(shape) if work is None else work.reshape(shape)
+class Plan(NamedTuple):
+    """Every GEMM of forward() and adjoint() for one bank on one (M, N) image,
+    prebuilt over one workspace of K * M * N float64. Each GEMM is a triple
+    whose views are fixed; the index slices the array the call supplies."""
+
+    shape: tuple  # (K, M, N)
+    forward_rows: tuple  # (band block, input index, workspace view) per row block
+    forward_cols: tuple  # (band block, workspace view, index into out.T) per column block
+    adjoint_rows: tuple  # (band block, input index, workspace view) per row block
+    adjoint_cols: tuple  # (workspace view, band block, output index) per column block
 
 
-def forward(a, bank, *, work=None):
+def make_plan(bank, shape, workspace=None):
+    """The Plan of `bank` on an image of `shape` (M, N), its views laid over
+    `workspace` (any array of K * M * N float64, reshaped without a copy when
+    it is contiguous; a fresh one when None). The operators overwrite the
+    workspace, so it must not overlap their input; its contents never reach
+    their results."""
+    m, n = shape
+    depth = bank.num_kernels
+    radius, corr, conv, interleaved = _bands(bank, max(m, n))
+    buf = np.empty(depth * m * n) if workspace is None else workspace
+    if buf.dtype != np.float64:  # GEMMs would round into it without a word
+        raise ValueError(f"workspace dtype {buf.dtype}, not float64")
+    rows_done = buf.reshape(n, depth, m)  # forward's interleaved (N, K, M) layout
+    slices_done = rows_done.transpose(1, 2, 0)  # its (K, M, N) view
+    stacked = rows_done.reshape(n * depth, m)
+    volume = buf.reshape(depth, m, n)  # adjoint's (K, M, N) layout
+    corr_t = corr.transpose(0, 2, 1)
+    row_blocks, col_blocks = tuple(_blocks(m, radius)), tuple(_blocks(n, radius))
+    return Plan(
+        shape=(depth, m, n),
+        forward_rows=tuple((conv[:, :b, c0:c1], (slice(None), src), slices_done[:, rows])
+                           for rows, src, b, c0, c1 in row_blocks),
+        forward_cols=tuple((interleaved[:b, c0 * depth : c1 * depth],
+                            stacked[src.start * depth : src.stop * depth], cols)
+                           for cols, src, b, c0, c1 in col_blocks),
+        adjoint_rows=tuple((corr[:, :b, c0:c1], src, volume[:, rows])
+                           for rows, src, b, c0, c1 in row_blocks),
+        adjoint_cols=tuple((volume[:, :, src], corr_t[:, c0:c1, :b], (Ellipsis, cols))
+                           for cols, src, b, c0, c1 in col_blocks),
+    )
+
+
+def _plan_for(plan, bank, shape):
+    if plan is None:
+        return make_plan(bank, shape[1:])
+    if plan.shape != shape:
+        raise ValueError(f"plan for (K, M, N) = {plan.shape} used on {shape}")
+    return plan
+
+
+def forward(a, bank, *, plan=None):
     """Sum over k of slice-wise convolution: the observation operator."""
     if a.ndim != 3 or a.shape[2] != bank.num_kernels:
         raise ValueError(
@@ -96,34 +150,27 @@ def forward(a, bank, *, work=None):
             f"kernel bank size {bank.num_kernels}"
         )
     m, n, depth = a.shape
-    radius, _, conv, interleaved = _bands(bank, max(m, n))
-    x = np.moveaxis(np.asarray(a, dtype=np.float64), 2, 0)
+    plan = _plan_for(plan, bank, (depth, m, n))
+    x = np.asarray(a, dtype=np.float64).transpose(2, 0, 1)
     if not x[0].flags.c_contiguous:
         x = np.ascontiguousarray(x)
-    rows_done = _workspace(work, (n, depth, m))
-    slices_done = rows_done.transpose(1, 2, 0)  # its (K, M, N) view
-    for rows, src, b, c0, c1 in _blocks(m, radius):
-        np.matmul(conv[:, :b, c0:c1], x[:, src], out=slices_done[:, rows])
-    stacked = rows_done.reshape(n * depth, m)
+    for band, src, dst in plan.forward_rows:
+        np.matmul(band, x[src], out=dst)
     out = np.empty((m, n))
-    for cols, src, b, c0, c1 in _blocks(n, radius):
-        np.matmul(interleaved[:b, c0 * depth : c1 * depth],
-                  stacked[src.start * depth : src.stop * depth], out=out.T[cols])
+    out_t = out.T
+    for band, src, cols in plan.forward_cols:
+        np.matmul(band, src, out=out_t[cols])
     return out
 
 
-def adjoint(r, bank, *, work=None):
+def adjoint(r, bank, *, plan=None):
     """Adjoint of forward(): slice k is the correlation of r with kernel k.
     Returns the (M, N, K) view of a fresh C-contiguous (K, M, N) array."""
     x = np.ascontiguousarray(r, dtype=np.float64)
-    m, n = x.shape
-    radius, corr, _, _ = _bands(bank, max(m, n))
-    shape = (bank.num_kernels, m, n)
-    rows_done = _workspace(work, shape)
-    for rows, src, b, c0, c1 in _blocks(m, radius):
-        np.matmul(corr[:, :b, c0:c1], x[src], out=rows_done[:, rows])
-    out = np.empty(shape)
-    corr_t = corr.transpose(0, 2, 1)
-    for cols, src, b, c0, c1 in _blocks(n, radius):
-        np.matmul(rows_done[:, :, src], corr_t[:, c0:c1, :b], out=out[:, :, cols])
-    return np.moveaxis(out, 0, 2)
+    plan = _plan_for(plan, bank, (bank.num_kernels,) + x.shape)
+    for band, src, dst in plan.adjoint_rows:
+        np.matmul(band, x[src], out=dst)
+    out = np.empty(plan.shape)
+    for src, band, cols in plan.adjoint_cols:
+        np.matmul(src, band, out=out[cols])
+    return out.transpose(1, 2, 0)

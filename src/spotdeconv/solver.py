@@ -20,15 +20,16 @@ it, so it equals objective(a_opt).
 
 The loop holds its volumes slice-major, as C-contiguous (K, M, N) arrays,
 because forward() and adjoint() batch their GEMMs over contiguous scale
-slices: it hands forward() the (M, N, K) view np.moveaxis(a, 0, 2), whose
+slices: it hands forward() the (M, N, K) view a.transpose(1, 2, 0), whose
 slices need no copy, and takes adjoint()'s (K, M, N) buffer as the next
 iterate. The shrink then sums K contiguous planes. Four volumes are alive
 in the loop: a, a_new (adjoint()'s fresh buffer), step and diff (both
 allocated once and refilled in place). diff doubles as the workspace of
 both operator calls, where it is free: adjoint() runs before diff is
-refilled, forward() after step has consumed it. progress() sees
-(M, N, K) views, and a_opt is a C-contiguous (M, N, K) copy made once
-per solve.
+refilled, forward() after step has consumed it. The solve makes one
+convolution Plan over diff and passes it to every call, so no call
+rebuilds its GEMM views. progress() sees (M, N, K) views, and a_opt is a
+C-contiguous (M, N, K) copy made once per solve.
 
 The one other exit is overflow: a non-finite objective or relative change
 raises FloatingPointError, with numpy's warnings off whoever calls. A
@@ -56,7 +57,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convolution import adjoint, forward
+from .convolution import adjoint, forward, make_plan
 from .tensors import group_norm_image
 
 BECK = "beck"
@@ -188,6 +189,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     a = np.zeros((bank.num_kernels, m, n))
     step = np.zeros_like(a)  # b - a; the loop writes it in place, never a
     diff = np.empty_like(a)  # a_new - a, refilled each iteration; the operators' workspace
+    plan = make_plan(bank, (m, n), diff)
     norm2_a = 0.0  # ||a||^2
     fa = fb = np.zeros((m, n))  # forward(a) of the zero start
     scale = -eta * np.square(cfg.weights)  # the residual's factor in the gradient step
@@ -198,7 +200,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported once, below
         for i in range(1, cfg.max_iters + 1):
             # Steps 1-3 in place on the volume that adjoint() returns.
-            a_new = np.moveaxis(adjoint(scale * (fb - d_obs), bank, work=diff), 2, 0)
+            a_new = adjoint(scale * (fb - d_obs), bank, plan=plan).transpose(2, 0, 1)
             a_new += a
             a_new += step
             np.maximum(a_new, 0.0, out=a_new)
@@ -212,7 +214,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
             alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
             np.multiply(diff, alpha, out=step)
 
-            fa_new = forward(np.moveaxis(a_new, 0, 2), bank, work=diff)
+            fa_new = forward(a_new.transpose(1, 2, 0), bank, plan=plan)
             fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
             fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
             objectives.append(float(fidelity + cfg.lam * regularizer))
@@ -224,13 +226,13 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
             # The hook comes after the extrapolation, which writes only step:
             # it gets a_new, and the loop never writes a_new (then a) again.
             if progress is not None:
-                progress(i, rel_change, np.moveaxis(a_new, 0, 2))
+                progress(i, rel_change, a_new.transpose(1, 2, 0))
             a, fa, norm2_a = a_new, fa_new, norm2_new
             if rel_change <= cfg.rel_tol:
                 break
 
-        del step, diff  # group_norm_image(a_opt) below squares a whole volume
-        a_opt = np.moveaxis(a, 0, 2).copy()  # C order
+        del step, diff, plan  # group_norm_image(a_opt) below squares a whole volume
+        a_opt = a.transpose(1, 2, 0).copy()  # C order
         # The reported final objective sums the same group norms as objective().
         objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))
     return SolveResult(a_opt=a_opt, iterations=i, final_rel_change=float(rel_change),

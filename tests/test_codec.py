@@ -157,3 +157,20 @@ def test_csv_bad_header(tmp_path):
         codec.read_detections_csv(path)
     with pytest.raises(ValueError, match="expected header"):
         codec.read_ground_truth_csv(path)
+
+
+def test_write_table_bytes(tmp_path):
+    # Python and numpy ints and floats each as their str, inf as "inf",
+    # every line ending in CRLF.
+    rows = [
+        (1, 0.1, 2.5e-300),
+        (np.int64(2), np.float64(0.1), np.float64(1e300)),
+        (np.int32(-3), float("inf"), np.inf),
+        (0, np.float64(-0.0), 5e-324),
+    ]
+    path = tmp_path / "t.csv"
+    codec.write_table(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == (
+        b"a,b,c\r\n1,0.1,2.5e-300\r\n2,0.1,1e+300\r\n-3,inf,inf\r\n0,-0.0,5e-324\r\n")
+    codec.write_table(path, ["a", "b", "c"], [])
+    assert path.read_bytes() == b"a,b,c\r\n"

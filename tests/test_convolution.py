@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spotdeconv import convolution
-from spotdeconv.convolution import adjoint, forward
+from spotdeconv.convolution import BLOCK, adjoint, forward, make_plan
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
 
 from oracles import dense_conv2d, ndimage_conv2d, operator_matrix
@@ -194,3 +194,40 @@ def test_bands_follow_the_image_not_the_truncation():
             tracemalloc.stop()
         assert peak < 2**20
         np.testing.assert_array_equal(got, op(arg, banks[0]))
+
+
+@pytest.mark.parametrize("rows, cols, depth, sigma_max, clips", [
+    (40, 37, 3, 2.0, False),  # M != N, neither side a multiple of BLOCK
+    (BLOCK + 1, 2 * BLOCK, 4, 2.0, False),  # one side a multiple of BLOCK
+    (5, 23, 2, 1.5, False),  # both sides below BLOCK
+    (3, 4, 3, 3.0, True),  # the extent clips the radius
+    (33, 9, 1, 2.0, False),  # K = 1
+])
+def test_shared_plan_matches_a_plan_per_call(rows, cols, depth, sigma_max, clips):
+    # One plan serves any number of forward and adjoint calls in any order,
+    # its workspace overwritten by each: every result is bit-identical to
+    # the call that makes its own plan.
+    bank = build_kernel_bank(make_scale_grid(sigma_max, depth))
+    assert (max(f.radius for f in bank.factors) > max(rows, cols) - 1) == clips
+    rng = np.random.default_rng(21)
+    workspace = np.full(depth * rows * cols, np.nan)
+    plan = make_plan(bank, (rows, cols), workspace)
+    for _ in range(2):
+        a = np.moveaxis(rng.standard_normal((depth, rows, cols)), 0, 2)
+        r = rng.standard_normal((rows, cols))
+        np.testing.assert_array_equal(adjoint(r, bank, plan=plan), adjoint(r, bank))
+        np.testing.assert_array_equal(forward(a, bank, plan=plan), forward(a, bank))
+        np.testing.assert_array_equal(forward(np.ascontiguousarray(a), bank, plan=plan),
+                                      forward(a, bank))
+
+
+def test_plan_misuse_is_refused():
+    bank = build_kernel_bank(make_scale_grid(2.0, 3))
+    plan = make_plan(bank, (8, 9))
+    with pytest.raises(ValueError, match="plan"):
+        forward(np.zeros((9, 8, 3)), bank, plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        adjoint(np.zeros((9, 8)), bank, plan=plan)
+    # matmul would round into a float32 workspace; make_plan refuses it.
+    with pytest.raises(ValueError, match="float64"):
+        make_plan(bank, (8, 9), np.empty(3 * 8 * 9, dtype=np.float32))

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spotdeconv.convolution import adjoint, forward
+from spotdeconv.convolution import adjoint, forward, make_plan
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
@@ -245,8 +245,9 @@ def test_forward_adjoint_inner_product(rows, cols, radii, seed):
     for k, f in enumerate(factors):
         want = ndimage_conv2d(r, f.taps, correlate=True)
         assert np.max(np.abs(ar[:, :, k] - want)) <= 1e-12 * mass[k] * np.max(np.abs(r))
-    # Whatever the workspace holds on entry never reaches the result.
-    work = np.full(a.size, np.nan)
-    np.testing.assert_array_equal(forward(a, bank, work=work), fa)
-    work.fill(np.nan)
-    np.testing.assert_array_equal(adjoint(r, bank, work=work), ar)
+    # Whatever the plan's workspace holds on entry never reaches the result.
+    workspace = np.full(a.size, np.nan)
+    plan = make_plan(bank, (rows, cols), workspace)
+    np.testing.assert_array_equal(forward(a, bank, plan=plan), fa)
+    workspace.fill(np.nan)
+    np.testing.assert_array_equal(adjoint(r, bank, plan=plan), ar)

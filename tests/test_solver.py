@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spotdeconv import solver
-from spotdeconv.convolution import adjoint, forward
+from spotdeconv import convolution, solver
+from spotdeconv.convolution import adjoint, forward, make_plan
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import (
     BECK,
@@ -462,3 +462,20 @@ def test_diverging_solve_raises_divergence_whoever_calls():
     bank = build_kernel_bank(make_scale_grid(0.4, 8))
     with pytest.raises(FloatingPointError, match="^divergence: float64 overflow at iteration "):
         apg_solve(d_obs, bank, SolverConfig(lam=0.0, weights=np.ones((8, 8))))
+
+
+def test_one_plan_per_solve(monkeypatch):
+    # The solve builds its operators' GEMM views once: every forward and
+    # adjoint call of the loop reuses that plan instead of making its own.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return make_plan(*args, **kwargs)
+
+    bank, d_obs, w, lam = _random_problem(10)
+    monkeypatch.setattr(solver, "make_plan", counted)
+    monkeypatch.setattr(convolution, "make_plan", counted)
+    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=60))
+    assert res.iterations > 1
+    assert calls == [d_obs.shape]
