@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -145,6 +146,91 @@ def test_load_config_any_field_value(tmp_path, dotted, value):
         return
     assert isinstance(run, RunConfig)
     assert np.isfinite([run.sigma_max_pixels, run.truncation, run.lam, run.rel_tol]).all()
+
+
+FUZZ_CONFIG = {
+    "sigma_max": 1.5, "delta_pix": 1.0, "K": 2, "truncation": 4.0, "lambda": 0.05,
+    "weights": {"uniform": 1.0}, "momentum": "beck", "chambolle_a": 3.0, "rel_tol": 1e-4,
+    "max_iters": 200, "seed": 7,
+    "scene": {"rows": 16, "cols": 16, "n_sources": 2, "min_separation": 6.0,
+              "amplitude": [3.0, 5.0], "noise_sigma_rel": 0.01},
+}
+FUZZ_FIELDS = [
+    *cli.CONFIG_FIELDS, "weights.uniform", "weights.file", "max_iter",
+    *(f"scene.{name}" for name in cli.SCENE_FIELDS), "scene.amplitude.0", "scene.amplitude.1",
+    "scene.scale_profile.0", "scene.seed",
+]
+DELETE = object()
+# The only positive values below 0.5 are subnormal, so with sigma_max capped,
+# sigma_max/delta_pix is at most 2 * FUZZ_CAPS["sigma_max"] px or overflows to inf.
+fuzz_scalars = st.sampled_from([
+    -1, 0, -0.0, 0.5, 1, 2, 3, 1.7, 64.0, 2**64, 10**400, -1e300, 1e300, 1e308, 5e-324, 1e-310,
+    NAN, INF, True, False, None, "", "beck", "CHAMBOLLE", "none", "1.0", "missing.f64t",
+])
+fuzz_values = (fuzz_scalars | st.lists(fuzz_scalars, max_size=3)
+               | st.dictionaries(st.sampled_from(["uniform", "file", "x"]), fuzz_scalars,
+                                 max_size=2)
+               | st.just(DELETE))
+# Until the kernel bank is clipped to the image extent (ROADMAP item 6),
+# these values allocate memory in proportion: the volumes grow with
+# rows * cols * K, the tap arrays with truncation * sigma_max/delta_pix.
+# max_iters and n_sources take time in proportion. A number above its cap
+# is set to the cap.
+FUZZ_CAPS = {"scene.rows": 24, "scene.cols": 24, "K": 6, "truncation": 40, "sigma_max": 8,
+             "max_iters": 300, "scene.n_sources": 12}
+
+
+def _fuzz_edit(cfg, dotted, value):
+    """Set (or delete, for DELETE) the field named like 'scene.amplitude.0'; an
+    edit under a parent that an earlier edit replaced or removed does nothing."""
+    *parents, key = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    for parent in parents:
+        if not (isinstance(cfg, dict) and parent in cfg
+                or isinstance(cfg, list) and isinstance(parent, int) and parent < len(cfg)):
+            return
+        cfg = cfg[parent]
+    if isinstance(key, int) and not (isinstance(cfg, list) and key < len(cfg)):
+        return
+    if not isinstance(key, int) and not isinstance(cfg, dict):
+        return
+    cap = FUZZ_CAPS.get(dotted)
+    if cap is not None and type(value) in (int, float) and value > cap:
+        value = cap
+    if value is not DELETE:
+        cfg[key] = value
+    elif isinstance(cfg, dict):
+        cfg.pop(key, None)
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), fuzz_values),
+                      min_size=1, max_size=3))
+def test_cli_contract_under_random_config_edits(tmp_path, capsys, edits):
+    # Every config either runs (exit 0, every file written, nothing on stderr)
+    # or fails with one `error: ` line, no traceback and no out-dir.
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    for dotted, value in edits:
+        _fuzz_edit(cfg, dotted, value)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        path = Path(work) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command, files in [("synth", cli.SCENE_FILES),
+                               ("pipeline", cli.SCENE_FILES + cli.RUN_FILES)]:
+            out = Path(work) / command
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([command, "--config", str(path), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                assert err == ""
+                assert sorted(p.name for p in out.iterdir()) == sorted(files)
+            else:
+                assert rc == 1
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                assert "Traceback" not in err
+                assert not out.exists()
 
 
 def test_synth_outputs(tmp_path):
