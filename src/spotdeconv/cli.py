@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, solve, detect, evaluate, pipeline.
 
-Configuration is a single JSON file; see README for the schema. All
-subcommands exit 0 on success and nonzero with a diagnostic naming the
-offending field or file on any error. Each command runs all of its stages
-(run_synth, run_solve, detect, run_evaluate), none of which writes a
-file, before it writes any output, so a failing command writes nothing.
+Configuration is one JSON file (README has the schema). load_config checks
+JSON shape and types and runs the library constructors that own the value
+bounds, so the whole config is checked at load. A failing command exits
+nonzero naming the offending field or file, and writes nothing: each command
+runs all of its stages (run_synth, run_solve, detect, run_evaluate; none
+writes a file) before it writes any output.
 """
 
 import argparse
@@ -21,10 +22,10 @@ from . import codec
 from .convolution import forward
 from .detection import detect
 from .evaluation import DEFAULT_TOL, best_report, threshold_sweep
-from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, make_scale_grid
-from .solver import BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, apg_solve
+from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, check_truncation, make_scale_grid
+from .solver import SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
-from .tensors import as_image, as_volume
+from .tensors import BoundError, as_image, as_volume, require
 
 
 class ConfigError(ValueError):
@@ -55,6 +56,9 @@ SCENE_FIELDS = ("rows", "cols", "n_sources", "min_separation", "amplitude", "noi
 # The files that synth writes into --out-dir, then those that pipeline adds.
 SCENE_FILES = ("a_true.f64t", "d_obs.f64t", "gt.csv", "meta.json")
 RUN_FILES = ("a_opt.f64t", "trace.csv", "detections.csv", "report.json", "sweep.csv")
+# The config field of each library parameter whose name differs from it.
+_FIELD_OF = {"num_bins": "K", "sigma_max_pixels": "sigma_max/delta_pix",
+             **{name: f"scene.{name}" for name in SCENE_FIELDS}}
 
 
 def _check_known(table, fields, prefix=""):
@@ -65,11 +69,10 @@ def _check_known(table, fields, prefix=""):
             raise ConfigError(f"config field {prefix + key!r} is not a known field")
 
 
-def _number(table, key, default=None, *, scope="", integer=False,
-            above=None, at_least=None):
+def _number(table, key, default=None, *, scope="", integer=False):
     """table[key] (an object field `scope.key` or a list entry `scope[key]`) as a finite
     float, or int if `integer`; required if `default` is None. A failure raises a
-    ConfigError naming the field and the value."""
+    ConfigError naming the field and the value; the library checks its bound."""
     name = f"{scope}[{key}]" if isinstance(table, list) else f"{scope}.{key}".lstrip(".")
     if isinstance(table, dict) and key not in table:
         if default is None:
@@ -82,17 +85,14 @@ def _number(table, key, default=None, *, scope="", integer=False,
         problem = "must be a finite number"
     elif integer and value != int(value):
         problem = "must be an integer"
-    elif above is not None and not value > above:
-        problem = f"must be > {above}"
-    elif at_least is not None and not value >= at_least:
-        problem = f"must be >= {at_least}"
     else:
         return int(value) if integer else float(value)
     raise ConfigError(f"config field {name!r} {problem}, got {value!r}")
 
 
 def load_config(path):
-    """Parse and check a whole config, scene block included."""
+    """Parse and check a whole config, scene block included: JSON shape and types
+    here, each bound in the library constructor that owns it, run here too."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -102,13 +102,21 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _check_known(raw, CONFIG_FIELDS)
+    try:
+        return _parse_config(raw)
+    except BoundError as exc:
+        raise ConfigError(f"config field {_FIELD_OF.get(exc.name, exc.name)!r} must be "
+                          f"{exc.rule}, got {exc.value!r}") from None
 
-    sigma_max_pixels = _number(raw, "sigma_max", above=0) / _number(raw, "delta_pix", 1.0, above=0)
-    if not 0 < sigma_max_pixels < np.inf:
-        raise ConfigError(f"config fields 'sigma_max'/'delta_pix' give {sigma_max_pixels} px")
-    num_scales = _number(raw, "K", integer=True, at_least=1)
-    seed = _number(raw, "seed", 0, integer=True, at_least=0)
+
+def _parse_config(raw):
+    _check_known(raw, CONFIG_FIELDS)
+    sigma_max, delta_pix = _number(raw, "sigma_max"), _number(raw, "delta_pix", 1.0)
+    # A negative sigma_max over a negative delta_pix would pass the grid's rule.
+    require(delta_pix > 0, "delta_pix", "> 0", delta_pix)
+    grid = make_scale_grid(sigma_max / delta_pix, _number(raw, "K", integer=True))
+    truncation = check_truncation(_number(raw, "truncation", DEFAULT_TRUNCATION))
+    seed = _number(raw, "seed", 0, integer=True)
 
     weights = raw.get("weights", {"uniform": 1.0})
     if not (isinstance(weights, dict) and len(weights) == 1
@@ -116,11 +124,12 @@ def load_config(path):
         raise ConfigError("config field 'weights' must be {\"uniform\": value} or {\"file\": path}")
 
     momentum = raw.get("momentum", SolverConfig.momentum)
-    momentum = momentum.lower() if isinstance(momentum, str) else momentum
-    if momentum not in (BECK, CHAMBOLLE, NO_MOMENTUM):
-        raise ConfigError(
-            f"config field 'momentum' must be one of beck/chambolle/none, got {momentum!r}"
-        )
+    solver = SolverConfig(  # its scalars only: apg_solve checks the weights
+        lam=_number(raw, "lambda"), weights=None,
+        momentum=momentum.lower() if isinstance(momentum, str) else momentum,
+        chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a),
+        max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True),
+        rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol))
 
     scene, noise_sigma_rel = raw.get("scene"), None
     if scene is not None:
@@ -136,47 +145,26 @@ def load_config(path):
         if not (profile is None or isinstance(profile, list)):
             raise ConfigError("config field 'scene.scale_profile' must be a list")
         number = functools.partial(_number, scene, scope="scene")
-        spec = dict(
-            rows=number("rows", integer=True),
-            cols=number("cols", integer=True),
-            depth=num_scales,
-            n_sources=number("n_sources", integer=True),
+        if "noise_sigma_rel" in scene:  # only run_synth reads it
+            noise_sigma_rel = number("noise_sigma_rel")
+            require(noise_sigma_rel >= 0, "noise_sigma_rel", ">= 0", noise_sigma_rel)
+        scene = SceneSpec(
+            rows=number("rows", integer=True), cols=number("cols", integer=True),
+            depth=grid.num_bins, n_sources=number("n_sources", integer=True),
             min_separation=number("min_separation", 1.0),
             amplitude_lo=_number(amplitude, 0, scope="scene.amplitude"),
             amplitude_hi=_number(amplitude, 1, scope="scene.amplitude"),
-            noise_sigma=number("noise_sigma", 0.0),
-            seed=seed,
+            noise_sigma=number("noise_sigma", 0.0), seed=seed,
             scale_profile=None if profile is None else [
-                _number(profile, i, scope="scene.scale_profile", at_least=0)
-                for i in range(len(profile))
-            ],
-        )
-        if profile is not None and not any(v > 0 for v in spec["scale_profile"]):
-            raise ConfigError(f"config field 'scene.scale_profile' needs an entry > 0, "
-                              f"got {profile!r}")
-        if "noise_sigma_rel" in scene:
-            noise_sigma_rel = number("noise_sigma_rel", at_least=0)
-        try:
-            scene = SceneSpec(**spec)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'scene' is invalid: {exc}") from None
+                _number(profile, i, scope="scene.scale_profile") for i in range(len(profile))])
 
     return RunConfig(
-        sigma_max_pixels=sigma_max_pixels,
-        num_scales=num_scales,
-        truncation=_number(raw, "truncation", DEFAULT_TRUNCATION, above=0),
-        lam=_number(raw, "lambda", at_least=0),
+        sigma_max_pixels=grid.sigma_max_pixels, num_scales=grid.num_bins, truncation=truncation,
+        lam=solver.lam,
         weights_uniform=None if "file" in weights else _number(weights, "uniform", scope="weights"),
-        weights_file=weights.get("file"),
-        momentum=momentum,
-        chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a,
-                            above=2 if momentum == CHAMBOLLE else None),
-        rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol, above=0),
-        max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True, at_least=1),
-        seed=seed,
-        scene=scene,
-        noise_sigma_rel=noise_sigma_rel,
-    )
+        weights_file=weights.get("file"), momentum=solver.momentum,
+        chambolle_a=solver.chambolle_a, rel_tol=solver.rel_tol, max_iters=solver.max_iters,
+        seed=seed, scene=scene, noise_sigma_rel=noise_sigma_rel)
 
 
 def _kernel_bank(cfg):

@@ -8,10 +8,13 @@ total 2-D kernel mass <= 1. The taps are differences of the standard
 library's math.erf at the pixel edges, so the package needs numpy alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import require
 
 # Midpoint scales are clamped below this to avoid a degenerate sigma=0 bin.
 SIGMA_MIN = 0.05
@@ -21,14 +24,14 @@ DEFAULT_TRUNCATION = 4.0
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Uniform partition of [0, sigma_max_pixels] into K scale bins."""
+    """Uniform partition of [0, sigma_max_pixels] into K bins; edges made on use, O(1) to check."""
 
     sigma_max_pixels: float
-    edges: np.ndarray  # K+1 strictly increasing values, edges[0]=0
+    num_bins: int
 
-    @property
-    def num_bins(self):
-        return len(self.edges) - 1
+    @functools.cached_property
+    def edges(self):  # K+1 strictly increasing values, edges[0]=0
+        return np.linspace(0.0, self.sigma_max_pixels, self.num_bins + 1)
 
     def midpoint(self, k):
         return 0.5 * (self.edges[k] + self.edges[k + 1])
@@ -56,12 +59,17 @@ class KernelBank:
 
 
 def make_scale_grid(sigma_max_pixels, num_bins):
-    if not 0 < sigma_max_pixels < np.inf:
-        raise ValueError(f"sigma_max_pixels must be finite and > 0, got {sigma_max_pixels}")
-    if not num_bins >= 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    edges = np.linspace(0.0, sigma_max_pixels, num_bins + 1)
-    return ScaleGrid(sigma_max_pixels=float(sigma_max_pixels), edges=edges)
+    """A ScaleGrid; 1/sigma_max_pixels scales solver.step_size, so it is finite too."""
+    require(0 < sigma_max_pixels < np.inf and 1.0 / float(sigma_max_pixels) < np.inf,
+            "sigma_max_pixels", "finite and > 0 with a finite reciprocal", sigma_max_pixels)
+    require(num_bins >= 1, "num_bins", ">= 1", num_bins)
+    return ScaleGrid(sigma_max_pixels=float(sigma_max_pixels), num_bins=num_bins)
+
+
+def check_truncation(truncation):
+    """The bank's rule for the tap radius ceil(truncation * sigma) of every bin."""
+    require(0 < truncation < np.inf, "truncation", "finite and > 0", truncation)
+    return truncation
 
 
 def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
@@ -74,8 +82,7 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
     """
     if not 0 <= k < grid.num_bins:
         raise ValueError(f"bin index {k} out of range [0, {grid.num_bins})")
-    if not 0 < truncation < np.inf:
-        raise ValueError(f"truncation must be finite and > 0, got {truncation}")
+    check_truncation(truncation)
     sigma = max(grid.midpoint(k), SIGMA_MIN)
     radius = int(np.ceil(truncation * sigma))
     scale = 1.0 / (np.sqrt(2.0) * sigma)

@@ -58,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .convolution import adjoint, forward, make_plan
-from .tensors import group_norm_image
+from .tensors import group_norm_image, require
 
 BECK = "beck"
 CHAMBOLLE = "chambolle"
@@ -77,16 +77,13 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.momentum not in (BECK, CHAMBOLLE, NO_MOMENTUM):
-            raise ValueError(f"unknown momentum scheme {self.momentum!r}")
-        if self.momentum == CHAMBOLLE and not self.chambolle_a > 2:
-            raise ValueError(f"Chambolle parameter must be > 2, got {self.chambolle_a}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        require(self.lam >= 0, "lambda", ">= 0", self.lam)
+        require(self.momentum in (BECK, CHAMBOLLE, NO_MOMENTUM), "momentum",
+                "one of beck/chambolle/none", self.momentum)
+        require(self.momentum != CHAMBOLLE or self.chambolle_a > 2, "chambolle_a", "> 2",
+                self.chambolle_a)
+        require(self.rel_tol > 0, "rel_tol", "> 0", self.rel_tol)
+        require(self.max_iters >= 1, "max_iters", ">= 1", self.max_iters)
 
 
 @dataclass
@@ -100,9 +97,7 @@ class SolveResult:
 
 
 def step_size(sigma_max_pixels, w):
-    """Fixed step eta = (1 / sigma_max_pixels) / max|w|^2."""
-    if sigma_max_pixels <= 0:
-        raise ValueError(f"sigma_max_pixels must be > 0, got {sigma_max_pixels}")
+    """Fixed step eta = (1 / sigma_max_pixels) / max|w|^2, for a ScaleGrid's sigma_max_pixels."""
     wmax = np.max(np.abs(w))
     with np.errstate(divide="ignore", over="ignore"):
         eta = np.float64(1.0 / sigma_max_pixels) / np.square(wmax)

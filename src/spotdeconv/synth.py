@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convolution import forward
+from .tensors import require
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -32,26 +33,20 @@ class SceneSpec:
     scale_profile: Optional[Sequence[float]] = None  # default: single random k
 
     def __post_init__(self):
-        if not (self.rows >= 1 and self.cols >= 1):
-            raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
-        if not self.n_sources >= 0:
-            raise ValueError(f"n_sources must be >= 0, got {self.n_sources}")
-        if not self.min_separation >= 1:
-            raise ValueError(f"min_separation must be >= 1, got {self.min_separation}")
-        if not 0 < self.amplitude_lo <= self.amplitude_hi:
-            raise ValueError(
-                f"need 0 < amplitude_lo <= amplitude_hi, got "
-                f"({self.amplitude_lo}, {self.amplitude_hi})"
-            )
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        require(self.rows >= 1, "rows", ">= 1", self.rows)
+        require(self.cols >= 1, "cols", ">= 1", self.cols)
+        require(self.n_sources >= 0, "n_sources", ">= 0", self.n_sources)
+        require(self.min_separation >= 1, "min_separation", ">= 1", self.min_separation)
+        require(0 < self.amplitude_lo <= self.amplitude_hi, "amplitude",
+                "[lo, hi] with 0 < lo <= hi", [self.amplitude_lo, self.amplitude_hi])
+        require(self.noise_sigma >= 0, "noise_sigma", ">= 0", self.noise_sigma)
+        require(self.seed >= 0, "seed", ">= 0", self.seed)
         if self.scale_profile is not None:
             profile = np.asarray(self.scale_profile, dtype=np.float64)
-            if profile.shape != (self.depth,) or not np.all(np.isfinite(profile)):
-                raise ValueError(f"scale_profile must hold {self.depth} finite values")
-            if not (np.all(profile >= 0) and np.any(profile > 0)):
-                raise ValueError(f"scale_profile must be >= 0 with an entry > 0, "
-                                 f"got {list(self.scale_profile)}")
+            require(profile.shape == (self.depth,) and np.all(np.isfinite(profile))
+                    and np.all(profile >= 0) and np.any(profile > 0), "scale_profile",
+                    f"a list of {self.depth} finite values >= 0 with one > 0",
+                    list(self.scale_profile))
 
 
 def generate_scene(spec):

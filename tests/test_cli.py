@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -8,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spotdeconv
 from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
-from spotdeconv.solver import objective
+from spotdeconv.solver import SolverConfig, objective
 
 
 def _write_config(tmp_path, **overrides):
@@ -99,6 +100,12 @@ NAN, INF = float("nan"), float("inf")
     ("scene.rows", 0, "rows"),
     ("max_iter", 3, "'max_iter'"),
     ("scene.noise_sigmarel", 0.5, "'scene.noise_sigmarel'"),
+    # A library bound, worded with the config field's name.
+    ("K", 0, "'K' must be >= 1, got 0\n"),
+    ("seed", -1, "'seed' must be >= 0, got -1\n"),
+    ("scene.rows", 0, "'scene.rows' must be >= 1, got 0\n"),
+    ("scene.amplitude", [2.0, 1.0],
+     "'scene.amplitude' must be [lo, hi] with 0 < lo <= hi, got [2.0, 1.0]\n"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -135,6 +142,10 @@ json_values = st.recursive(
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(dotted=st.sampled_from(DEMO_FIELDS), value=json_values)
+@example(dotted="truncation", value=0)  # the bank's rule, checked at load too
+@example(dotted="truncation", value=-1.5)
+@example(dotted="sigma_max", value=1e-310)
+@example(dotted="max_iters", value=0)
 def test_load_config_any_field_value(tmp_path, dotted, value):
     cfg = json.loads(DEMO_CONFIG.read_text())
     _set_field(cfg, dotted, value)
@@ -146,6 +157,14 @@ def test_load_config_any_field_value(tmp_path, dotted, value):
         return
     assert isinstance(run, RunConfig)
     assert np.isfinite([run.sigma_max_pixels, run.truncation, run.lam, run.rel_tol]).all()
+    # load_config accepts nothing the library rejects. A bank past these sizes
+    # takes memory and time in proportion (ROADMAP item 6); a bad truncation is
+    # small, so it is built, and a NaN product fails the size test.
+    grid = make_scale_grid(run.sigma_max_pixels, run.num_scales)
+    if run.num_scales <= 64 and not run.truncation * run.sigma_max_pixels > 1e4:
+        build_kernel_bank(grid, run.truncation)
+    SolverConfig(lam=run.lam, weights=np.ones((2, 2)), momentum=run.momentum,
+                 chambolle_a=run.chambolle_a, max_iters=run.max_iters, rel_tol=run.rel_tol)
 
 
 FUZZ_CONFIG = {
@@ -231,6 +250,40 @@ def test_cli_contract_under_random_config_edits(tmp_path, capsys, edits):
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
                 assert "Traceback" not in err
                 assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, px", [
+    ({"sigma_max": 1e-310}, "1e-310"),
+    ({"delta_pix": 1e308, "sigma_max": 1e-5}, "1e-313"),
+])
+def test_tiny_sigma_max_pixels_names_sigma(tmp_path, capsys, overrides, px):
+    # 1/sigma_max_pixels, the scale of the solver's step, overflows: the
+    # config fields that set it are at fault, not the weights (uniform 1.0).
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "p"
+    rc = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: config field 'sigma_max/delta_pix' must be finite and > 0 "
+                   f"with a finite reciprocal, got {px}\n")
+    assert not out.exists()
+
+
+def _readme_section(start, end):
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return text[text.index(start):text.index(end, text.index(start))]
+
+
+def test_readme_lists_every_config_field():
+    # A new key cannot land undocumented: the schema table lists exactly
+    # CONFIG_FIELDS, and the scene paragraph names exactly SCENE_FIELDS.
+    table = _readme_section("| field ", "\n\n")
+    assert re.findall(r"^\| `(\w+)`", table, re.MULTILINE) == list(cli.CONFIG_FIELDS)
+    scene = _readme_section("Scene block:", "\n\n")
+    assert sorted(set(re.findall(r"`(\w+)`", scene))) == sorted(cli.SCENE_FIELDS)
 
 
 def test_synth_outputs(tmp_path):

@@ -8,6 +8,7 @@ from spotdeconv.kernels import (
     gaussian_factor_1d,
     make_scale_grid,
 )
+from spotdeconv.tensors import BoundError
 
 # Center tap for sigma = 1: integral of the unit Gaussian pdf over [-1/2, 1/2],
 # frozen from 60-digit quadrature.
@@ -43,6 +44,19 @@ def test_scale_grid_invalid():
     for sigma in [np.nan, np.inf]:
         with pytest.raises(ValueError):
             make_scale_grid(sigma, 3)
+
+
+def test_scale_grid_rules_name_the_parameter():
+    # The step scales with 1/sigma_max_pixels: a subnormal sigma, whose
+    # reciprocal overflows, is refused with K; a huge K is checked without
+    # making its edges.
+    with pytest.raises(BoundError, match="^sigma_max_pixels must be finite and > 0 with a "
+                                         "finite reciprocal, got 1e-310$") as caught:
+        make_scale_grid(1e-310, 3)
+    assert (caught.value.name, caught.value.value) == ("sigma_max_pixels", 1e-310)
+    with pytest.raises(BoundError, match="^num_bins must be >= 1, got 0$"):
+        make_scale_grid(2.0, 0)
+    assert make_scale_grid(2.0, 2**53).num_bins == 2**53
 
 
 def test_near_delta_factor():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spotdeconv.tensors import as_image, as_volume, group_norm_image
+from spotdeconv.tensors import BoundError, as_image, as_volume, group_norm_image, require
 
 
 def test_group_norm_345():
@@ -29,3 +29,11 @@ def test_validators():
         as_image(np.ones(3))
     with pytest.raises(ValueError):
         as_volume(np.full((2, 2, 2), np.inf))
+
+
+def test_require_raises_bound_error():
+    require(True, "lambda", ">= 0", -1.0)
+    with pytest.raises(BoundError, match=r"^lambda must be >= 0, got -1.0$") as caught:
+        require(False, "lambda", ">= 0", -1.0)
+    assert isinstance(caught.value, ValueError)
+    assert (caught.value.name, caught.value.rule, caught.value.value) == ("lambda", ">= 0", -1.0)
