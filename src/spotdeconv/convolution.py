@@ -23,17 +23,18 @@ again. forward() runs the K-batched row pass on the convolution bands
 into an interleaved (N, K, M) workspace, then one GEMM per column block
 against the interleaved (BLOCK, K * (BLOCK + 2R)) band whose column
 j * K + k is kernel k's column j: the sum over k happens inside the
-GEMM. forward() reads each slice in place when the volume holds it
-contiguously, as the (M, N, K) view v.transpose(1, 2, 0) of a C-order
-(K, M, N) array does; any other layout costs one gather of the volume.
+GEMM. forward() reads the volume in place when it is the (M, N, K) view
+v.transpose(1, 2, 0) of a C-order (K, M, N) array v, as the solver's
+volumes are; any other layout costs one gather of the volume.
 
-The blocks, their band slices and the workspace views depend only on the
-bank and (M, N), so make_plan() builds them once, as a Plan of
+The bands, their blocks and the workspace views depend only on the bank
+and (M, N), so make_plan() builds them once per plan, as a Plan of
 (band block, input, output) triples over one workspace of K * M * N
-float64. Both operators take it as `plan`; without one, a call makes its
-own over a fresh workspace. A caller that applies the operators many
-times, as the solver does, makes one Plan and passes it to every call:
-then a call only slices its own input and fresh output and runs the GEMMs.
+float64; no band state outlives the plan. Both operators take it as
+`plan`; without one, a call makes its own over a fresh workspace. A
+caller that applies the operators many times, as the solver does, makes
+one Plan and passes it to every call: then a call only slices its own
+input and fresh output and runs the GEMMs.
 
 A band holds its taps in order, which makes it a correlation; a
 convolution is the correlation with the reversed taps, the exact
@@ -42,7 +43,6 @@ GEMM adds a tap-by-tap sum's products in another order, so the two
 differ by round-off only.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -52,33 +52,23 @@ import numpy as np
 BLOCK = 32
 
 
-@lru_cache(maxsize=16)
-def _stacks(taps_key, radius):
-    """Band blocks of the K tap vectors in `taps_key`, built once per tap set:
-    the (K, BLOCK, BLOCK + 2*radius) correlation and convolution stacks, row r
-    of block k holding kernel k's taps (reversed for convolution) centred on
-    column r + radius, and the convolution stack interleaved to
-    (BLOCK, K * (BLOCK + 2*radius)), column j*K + k holding block k's column j."""
-    bands = np.zeros((2, len(taps_key), BLOCK, BLOCK + 2 * radius))
-    for k, taps_bytes in enumerate(taps_key):
-        taps = np.frombuffer(taps_bytes)
-        start = radius - (len(taps) - 1) // 2
-        for r in range(BLOCK):
-            bands[0, k, r, start + r : start + r + len(taps)] = taps
-            bands[1, k, r, start + r : start + r + len(taps)] = taps[::-1]
-    interleaved = np.ascontiguousarray(bands[1].transpose(1, 2, 0)).reshape(BLOCK, -1)
-    for arr in (bands, interleaved):
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return bands[0], bands[1], interleaved
-
-
 def _bands(bank, extent):
-    """The common radius of the bank's bands on an image of longest side
-    `extent`, then _stacks() of its taps clipped to that radius."""
+    """The common radius R of the bank's bands on an image of longest side
+    `extent`, the (K, BLOCK, BLOCK + 2R) correlation and convolution stacks,
+    row r of block k holding kernel k's taps, clipped to R, centred on column
+    r + R (reversed for convolution), and the convolution stack interleaved
+    to (BLOCK, K * (BLOCK + 2R)), column j*K + k holding block k's column j."""
     radius = min(max(f.radius for f in bank.factors), extent - 1)
-    clipped = (np.asarray(f.taps, dtype=np.float64)[max(f.radius - radius, 0) :][: 2 * radius + 1]
-               for f in bank.factors)
-    return (radius,) + _stacks(tuple(taps.tobytes() for taps in clipped), radius)
+    width = BLOCK + 2 * radius
+    rows = np.zeros((bank.num_kernels, BLOCK - 1 + width))  # taps centred on BLOCK - 1 + R
+    for row, f in zip(rows, bank.factors):
+        r = min(f.radius, radius)
+        row[BLOCK - 1 + radius - r : BLOCK + radius + r] = f.taps[f.radius - r : f.radius + r + 1]
+    # Band row r is the window of `width` columns from BLOCK - 1 - r.
+    corr = np.take(rows, BLOCK - 1 + np.arange(width) - np.arange(BLOCK)[:, None], axis=1)
+    conv = np.ascontiguousarray(corr[:, ::-1, ::-1])
+    interleaved = np.ascontiguousarray(conv.transpose(1, 2, 0)).reshape(BLOCK, -1)
+    return radius, corr, conv, interleaved
 
 
 def _blocks(size, radius):
@@ -151,9 +141,7 @@ def forward(a, bank, *, plan=None):
         )
     m, n, depth = a.shape
     plan = _plan_for(plan, bank, (depth, m, n))
-    x = np.asarray(a, dtype=np.float64).transpose(2, 0, 1)
-    if not x[0].flags.c_contiguous:
-        x = np.ascontiguousarray(x)
+    x = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64)
     for band, src, dst in plan.forward_rows:
         np.matmul(band, x[src], out=dst)
     out = np.empty((m, n))

@@ -39,7 +39,9 @@ class ScaleGrid:
 
 @dataclass(frozen=True)
 class Kernel1D:
-    """Odd-length symmetric tap vector for one scale bin."""
+    """Odd-length tap vector for one scale bin. The bank's taps are symmetric,
+    but the operators take any odd-length taps: the property tests use
+    asymmetric ones."""
 
     taps: np.ndarray
 

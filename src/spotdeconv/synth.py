@@ -36,6 +36,9 @@ class SceneSpec:
         require(self.rows >= 1, "rows", ">= 1", self.rows)
         require(self.cols >= 1, "cols", ">= 1", self.cols)
         require(self.n_sources >= 0, "n_sources", ">= 0", self.n_sources)
+        # min_separation >= 1 leaves room for one source per pixel at most.
+        require(self.n_sources <= self.rows * self.cols, "n_sources",
+                f"<= rows * cols = {self.rows * self.cols}", self.n_sources)
         require(self.min_separation >= 1, "min_separation", ">= 1", self.min_separation)
         require(0 < self.amplitude_lo <= self.amplitude_hi, "amplitude",
                 "[lo, hi] with 0 < lo <= hi", [self.amplitude_lo, self.amplitude_hi])
@@ -57,9 +60,9 @@ def generate_scene(spec):
     """
     rng = np.random.default_rng(spec.seed)
     a_true = np.zeros((spec.rows, spec.cols, spec.depth))
-    positions = []
-    attempts = 0
-    while len(positions) < spec.n_sources:
+    placed = np.empty((spec.n_sources, 2), dtype=np.int64)
+    count = attempts = 0
+    while count < spec.n_sources:
         if attempts >= _PLACEMENT_RETRY_CAP:
             raise RuntimeError(
                 f"could not place {spec.n_sources} sources at separation "
@@ -68,10 +71,10 @@ def generate_scene(spec):
         attempts += 1
         r = int(rng.integers(0, spec.rows))
         c = int(rng.integers(0, spec.cols))
-        if all(
-            np.hypot(r - pr, c - pc) >= spec.min_separation for pr, pc in positions
-        ):
-            positions.append((r, c))
+        if (np.hypot(r - placed[:count, 0], c - placed[:count, 1]) >= spec.min_separation).all():
+            placed[count] = r, c
+            count += 1
+    positions = placed.tolist()
 
     profile = None if spec.scale_profile is None else np.array(spec.scale_profile, float)
     for r, c in positions:

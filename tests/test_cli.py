@@ -106,6 +106,9 @@ NAN, INF = float("nan"), float("inf")
     ("scene.rows", 0, "'scene.rows' must be >= 1, got 0\n"),
     ("scene.amplitude", [2.0, 1.0],
      "'scene.amplitude' must be [lo, hi] with 0 < lo <= hi, got [2.0, 1.0]\n"),
+    # Refused at load, not after 10,000 placement attempts.
+    ("scene", {"rows": 16, "cols": 16, "n_sources": 1000000, "min_separation": 1.0},
+     "'scene.n_sources' must be <= rows * cols = 256, got 1000000\n"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -193,10 +196,10 @@ fuzz_values = (fuzz_scalars | st.lists(fuzz_scalars, max_size=3)
 # Until the kernel bank is clipped to the image extent (ROADMAP item 6),
 # these values allocate memory in proportion: the volumes grow with
 # rows * cols * K, the tap arrays with truncation * sigma_max/delta_pix.
-# max_iters and n_sources take time in proportion. A number above its cap
-# is set to the cap.
+# Of the values that take time in proportion, only max_iters is capped:
+# n_sources is bounded by rows * cols. A number above its cap is set to the cap.
 FUZZ_CAPS = {"scene.rows": 24, "scene.cols": 24, "K": 6, "truncation": 40, "sigma_max": 8,
-             "max_iters": 300, "scene.n_sources": 12}
+             "max_iters": 300}
 
 
 def _fuzz_edit(cfg, dotted, value):

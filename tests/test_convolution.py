@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spotdeconv import convolution
 from spotdeconv.convolution import BLOCK, adjoint, forward, make_plan
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
 
@@ -185,7 +184,6 @@ def test_bands_follow_the_image_not_the_truncation():
     a = rng.standard_normal((16, 16, 4))
     r = rng.standard_normal((16, 16))
     for op, arg in ((forward, a), (adjoint, r)):
-        convolution._stacks.cache_clear()  # the call builds its bands
         tracemalloc.start()
         try:
             got = op(arg, banks[1])
@@ -194,6 +192,24 @@ def test_bands_follow_the_image_not_the_truncation():
             tracemalloc.stop()
         assert peak < 2**20
         np.testing.assert_array_equal(got, op(arg, banks[0]))
+
+
+def test_no_band_outlives_its_plan():
+    # The operators keep no state between calls: a call's plan, bands and
+    # workspace are freed when it returns, however many banks came before.
+    banks = [build_kernel_bank(make_scale_grid(2.0 + 0.05 * i, 4)) for i in range(20)]
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((40, 40, 4))
+    r = rng.standard_normal((40, 40))
+    tracemalloc.start()
+    try:
+        for bank in banks:
+            forward(a, bank)
+            adjoint(r, bank)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 2**10
 
 
 @pytest.mark.parametrize("rows, cols, depth, sigma_max, clips", [

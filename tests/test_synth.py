@@ -60,6 +60,55 @@ def test_infeasible_placement_raises():
         generate_scene(_spec(rows=4, cols=4, n_sources=10, min_separation=10.0))
 
 
+def _scalar_placement_scene(spec):
+    """generate_scene with the placement test as a scalar loop over the placed
+    sources: the reference for its draws, decisions and error."""
+    rng = np.random.default_rng(spec.seed)
+    positions = []
+    attempts = 0
+    while len(positions) < spec.n_sources:
+        if attempts >= 10000:
+            raise RuntimeError(f"could not place {spec.n_sources} sources at separation "
+                               f">= {spec.min_separation} within 10000 attempts")
+        attempts += 1
+        r = int(rng.integers(0, spec.rows))
+        c = int(rng.integers(0, spec.cols))
+        if all(np.hypot(r - pr, c - pc) >= spec.min_separation for pr, pc in positions):
+            positions.append((r, c))
+    a_true = np.zeros((spec.rows, spec.cols, spec.depth))
+    for r, c in positions:
+        amplitude = rng.uniform(spec.amplitude_lo, spec.amplitude_hi)
+        a_true[r, c, int(rng.integers(0, spec.depth))] += amplitude
+    return a_true, [(float(r), float(c)) for r, c in positions]
+
+
+@pytest.mark.parametrize("rows, cols, n_sources, min_separation", [
+    (12, 12, 144, 1.0),  # every pixel
+    (16, 16, 40, 1.5),
+    (24, 24, 30, 3.0),
+    (24, 24, 10, 6.0),
+    (32, 32, 4, 12.0),
+    (32, 32, 2, 18.0),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_placement_matches_scalar_loop(rows, cols, n_sources, min_separation, seed):
+    spec = _spec(rows=rows, cols=cols, n_sources=n_sources, min_separation=min_separation,
+                 seed=seed)
+    a, gt = generate_scene(spec)
+    want_a, want_gt = _scalar_placement_scene(spec)
+    assert a.tobytes() == want_a.tobytes()
+    assert gt == want_gt
+
+
+def test_infeasible_placement_matches_scalar_loop():
+    spec = _spec(rows=16, cols=16, n_sources=3, min_separation=18.0)
+    with pytest.raises(RuntimeError) as want:
+        _scalar_placement_scene(spec)
+    with pytest.raises(RuntimeError) as got:
+        generate_scene(spec)
+    assert str(got.value) == str(want.value)
+
+
 def test_render_noise_free():
     bank = build_kernel_bank(make_scale_grid(2.0, 3))
     a, _ = generate_scene(_spec())
@@ -88,7 +137,7 @@ def test_spec_validation():
         _spec(amplitude_lo=2.0, amplitude_hi=1.0)
     with pytest.raises(ValueError):
         _spec(noise_sigma=-0.1)
-    for bad in [dict(rows=0), dict(cols=0), dict(n_sources=-1),
+    for bad in [dict(rows=0), dict(cols=0), dict(n_sources=-1), dict(n_sources=32 * 32 + 1),
                 dict(scale_profile=[0.5, 0.5]), dict(scale_profile=[0.5, np.nan, 0.5]),
                 dict(scale_profile=[1.0, -0.5, 1.0]), dict(scale_profile=[0.0, 0.0, 0.0])]:
         with pytest.raises(ValueError):
