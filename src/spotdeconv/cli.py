@@ -302,9 +302,7 @@ def _write_evaluation(report_path, sweep_path, sweep, report, tol):
         "f1": report.f1,
         "tolerance": tol,
     }))
-    codec.write_table(sweep_path, codec.SWEEP_HEADER, (
-        (r.threshold, r.tp, r.fp, r.fn, r.precision, r.recall, r.f1) for r in sweep
-    ))
+    codec.write_table(sweep_path, codec.SWEEP_HEADER, sweep)
 
 
 def _print_cap(cfg, result):

@@ -8,18 +8,21 @@ F1, breaking ties toward the largest threshold.
 
 Greedy matching in that order is prefix-stable: lowering the threshold only
 appends detections, and earlier matches never change. So the whole sweep is
-one matching pass that emits a report after each run of equal p.
+one matching pass, whose running TP count gives a report at the last
+detection of each run of equal p.
 """
 
-from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOL = 3.0  # matching tolerance in pixels, also the CLI's --tol default
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
+    """One row of the sweep CSV; equal to the tuple of its fields."""
+
     threshold: float
     tp: int
     fp: int
@@ -30,29 +33,29 @@ class EvalReport:
 
 
 def _greedy_pass(dets, gt, tol):
-    """Match detections in (-p, row, col) order; returns (index, gt index or
-    None) pairs in that order, indices into the caller's lists.
+    """Match detections in (-p, row, col) order; returns (order, p, took):
+    the detection indices into the caller's list in that order, their p, and
+    for each the ground-truth index it took, or -1.
 
     Each detection takes the nearest unmatched ground-truth point within
-    tol; distance ties go to the lower ground-truth index.
+    tol; distance ties go to the lower ground-truth index. A distance that
+    overflows float64 is inf, beyond any finite tol.
     """
-    order = sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].pseudo_likelihood, dets[i].row, dets[i].col),
-    )
-    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
-    unmatched = np.ones(len(gt), dtype=bool)
-    steps = []
-    for di in order:
-        d = dets[di]
-        dist = np.hypot(d.row - gt[:, 0], d.col - gt[:, 1])
-        candidates = np.flatnonzero(unmatched & (dist <= tol))
-        best = None
-        if len(candidates):
-            best = int(candidates[np.argmin(dist[candidates])])
-            unmatched[best] = False
-        steps.append((di, best))
-    return steps
+    # The Detection rows (row, col, p); fromiter is ~5x faster than asarray on tuples.
+    dets = np.fromiter(chain.from_iterable(dets), np.float64).reshape(-1, 3)
+    # A p of -0.0 goes after an equal 0.0, so a run's last p does not depend on input order.
+    order = np.lexsort((np.signbit(dets[:, 2]), dets[:, 1], dets[:, 0], -dets[:, 2]))
+    gt_row, gt_col = np.asarray(gt, dtype=np.float64).reshape(-1, 2).T
+    unmatched = np.ones(len(gt_row), dtype=bool)
+    took = np.full(len(order), -1)
+    with np.errstate(over="ignore"):
+        for k, (row, col, _) in enumerate(dets[order].tolist()):
+            dist = np.hypot(row - gt_row, col - gt_col)
+            candidates = np.flatnonzero(unmatched & (dist <= tol))
+            if len(candidates):
+                took[k] = best = candidates[np.argmin(dist[candidates])]
+                unmatched[best] = False
+    return order, dets[order, 2], took
 
 
 def match(dets, gt, tol=DEFAULT_TOL):
@@ -61,7 +64,9 @@ def match(dets, gt, tol=DEFAULT_TOL):
     pairing maps detection index (into dets as passed) -> ground-truth
     index for each true positive.
     """
-    pairing = {di: gi for di, gi in _greedy_pass(dets, gt, tol) if gi is not None}
+    order, _, took = _greedy_pass(dets, gt, tol)
+    hit = took >= 0
+    pairing = dict(zip(order[hit].tolist(), took[hit].tolist()))
     tp = len(pairing)
     return tp, len(dets) - tp, len(gt) - tp, pairing
 
@@ -79,11 +84,7 @@ def prf1(tp, fp, fn):
 
 
 def _report(threshold, tp, fp, fn):
-    precision, recall, f1 = prf1(tp, fp, fn)
-    return EvalReport(
-        threshold=threshold, tp=tp, fp=fp, fn=fn,
-        precision=precision, recall=recall, f1=f1,
-    )
+    return EvalReport(threshold, tp, fp, fn, *prf1(tp, fp, fn))
 
 
 def evaluate_at(dets, gt, threshold, tol=DEFAULT_TOL):
@@ -95,15 +96,11 @@ def evaluate_at(dets, gt, threshold, tol=DEFAULT_TOL):
 def threshold_sweep(dets, gt, tol=DEFAULT_TOL):
     """One EvalReport per candidate threshold ({p_l} union {+inf}),
     in descending threshold order, from a single matching pass."""
-    reports = [_report(np.inf, 0, 0, len(gt))]
-    tp = 0
-    for scored, (di, gi) in enumerate(_greedy_pass(dets, gt, tol), start=1):
-        tp += gi is not None
-        p = dets[di].pseudo_likelihood
-        if reports[-1].threshold == p:  # a tie: this report replaces the last
-            reports.pop()
-        reports.append(_report(p, tp, scored - tp, len(gt) - tp))
-    return reports
+    _, p, took = _greedy_pass(dets, gt, tol)
+    ends = np.flatnonzero(p != np.append(p[1:], np.nan))  # where a run of equal p ends
+    tp = np.cumsum(took >= 0)[ends]
+    counts = zip(p[ends].tolist(), tp.tolist(), (ends + 1 - tp).tolist(), (len(gt) - tp).tolist())
+    return [_report(np.inf, 0, 0, len(gt))] + [_report(*row) for row in counts]
 
 
 def best_report(sweep):

@@ -82,7 +82,8 @@ class SolverConfig:
                 "one of beck/chambolle/none", self.momentum)
         require(self.momentum != CHAMBOLLE or self.chambolle_a > 2, "chambolle_a", "> 2",
                 self.chambolle_a)
-        require(self.rel_tol > 0, "rel_tol", "> 0", self.rel_tol)
+        eps = np.finfo(np.float64).eps  # a smaller relative change may never be reached
+        require(self.rel_tol >= eps, "rel_tol", f">= {eps} (float64's epsilon)", self.rel_tol)
         require(self.max_iters >= 1, "max_iters", ">= 1", self.max_iters)
 
 

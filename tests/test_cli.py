@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,12 @@ from hypothesis import strategies as st
 import spotdeconv
 from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
+from spotdeconv.detection import Detection
+from spotdeconv.evaluation import match
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import SolverConfig, objective
+
+from oracles import reference_threshold_sweep
 
 
 def _write_config(tmp_path, **overrides):
@@ -87,6 +92,7 @@ NAN, INF = float("nan"), float("inf")
     ("truncation", NAN, "'truncation'"),
     ("scene", [1], "'scene'"),
     ("rel_tol", NAN, "'rel_tol'"),
+    ("rel_tol", 5e-324, "'rel_tol'"),  # below float64's epsilon: never reached
     ("K", 1.7, "'K'"),
     ("max_iters", 2.5, "'max_iters'"),
     ("lambda", NAN, "'lambda'"),
@@ -743,6 +749,60 @@ def test_evaluate_ignores_detection_row_order(tmp_path):
     assert json.loads(outputs[0][0])["TP"] == 3
 
 
+def _evaluate(work, capsys, dets, gt, tol, name="eval"):
+    """In-process `evaluate` of the rows `dets` and `gt` with RuntimeWarning as
+    an error: (exit code, stderr, report bytes, sweep bytes), None if unwritten."""
+    det_path, gt_path = work / f"{name}_det.csv", work / f"{name}_gt.csv"
+    codec.write_detections_csv(det_path, dets)
+    codec.write_ground_truth_csv(gt_path, gt)
+    report, sweep = work / f"{name}.json", work / f"{name}_sweep.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["evaluate", "--detections", str(det_path), "--ground-truth", str(gt_path),
+                   "--out", str(report), "--sweep", str(sweep), "--tol", repr(tol)])
+    return rc, capsys.readouterr().err, *(path.read_bytes() if path.exists() else None
+                                          for path in (report, sweep))
+
+
+def test_evaluate_overflowing_distance_is_beyond_tol(tmp_path, capsys):
+    # (1e308, -1e308) - (-1e308, 1e308) overflows float64: the distance is
+    # inf, beyond any finite tolerance, and no warning reaches stderr.
+    dets, gt = [(1e308, -1e308, 1.0)], [(-1e308, 1e308)]
+    rc, err, report, _ = _evaluate(tmp_path, capsys, dets, gt, 3.0)
+    assert (rc, err) == (0, "")
+    report = json.loads(report)
+    assert (report["TP"], report["FP"], report["FN"]) == (0, 0, 1)
+    assert match([Detection(*d) for d in dets], gt) == (0, 1, 1, {})
+
+
+EVAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-3, 3.0, 5e-324, 1e-310, -1e-310,
+                               1e154, 1e200, 1e300, -1e300, 1.7e308])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dets=st.lists(st.tuples(EVAL_VALUES, EVAL_VALUES, EVAL_VALUES), max_size=6),
+       gt=st.lists(st.tuples(EVAL_VALUES, EVAL_VALUES), max_size=4),
+       tol=st.sampled_from([0.0, 1e-3, 3.0, 1e300]), shuffle=st.randoms())
+@example(dets=[(1e308, -1e308, 1.0)], gt=[(-1e308, 1e308)], tol=3.0, shuffle=random.Random(0))
+# Equal but for the sign of a zero p: the threshold is -0.0 in either order.
+@example(dets=[(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)], gt=[], tol=3.0, shuffle=random.Random(0))
+def test_evaluate_contract_under_random_inputs(tmp_path, capsys, dets, gt, tol, shuffle):
+    # Any two small CSVs are scored: exit 0, both files written, nothing on
+    # stderr, the reference sweep, and the same bytes for shuffled detections.
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        runs = [_evaluate(Path(work), capsys, rows, gt, tol, name) for name, rows in
+                [("given", dets), ("shuffled", shuffle.sample(dets, len(dets)))]]
+    for rc, err, report, sweep in runs:
+        assert (rc, err) == (0, "") and report is not None and sweep is not None
+    assert runs[0][2:] == runs[1][2:]
+    rows = [line.split(",") for line in runs[0][3].decode().splitlines()[1:]]
+    with np.errstate(over="ignore"):  # the oracle's np.hypot of huge differences
+        want = reference_threshold_sweep([Detection(*d) for d in dets], gt, tol)
+    assert [(float(t), int(tp), int(fp), int(fn)) for t, tp, fp, fn, *_ in rows] == want
+
+
 @pytest.mark.parametrize("which, body, message", [
     ("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5\n3.0,4.0\n",
      "line 3: expected 3 fields, got 2"),
@@ -931,6 +991,9 @@ def test_demo_run_converges(tmp_path, capsys):
     result = cli.run_solve(cfg, bank, cli._weights_image(cfg, d_obs.shape), d_obs)
     assert result.converged is True
     assert result.iterations < cfg.max_iters
+    # The CI summary line's counts, and the converged objective to 1e-9.
+    assert (result.iterations, result.restarts) == (101, 4)
+    assert result.objectives[-1] == pytest.approx(15.55658090434963, rel=1e-9)
     assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(tmp_path / "pipe")]) == 0
     assert "not converged" not in capsys.readouterr().out
 

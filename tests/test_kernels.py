@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -71,6 +73,15 @@ def test_near_delta_factor():
     assert np.all(others <= 1e-10)
 
 
+def test_clamped_bin_takes_sigma_min_taps():
+    # sigma_max 0.08, K 1: the midpoint 0.04 is below the clamp, so the bin
+    # takes the taps of sigma = 0.05, at radius ceil(4 * 0.05) = 1.
+    factor = gaussian_factor_1d(make_scale_grid(0.08, 1), 0)
+    scale = 1.0 / (math.sqrt(2.0) * 0.05)
+    want = [0.5 * (math.erf((j + 0.5) * scale) - math.erf((j - 0.5) * scale)) for j in (-1, 0, 1)]
+    np.testing.assert_array_equal(factor.taps, want)
+
+
 def test_center_tap_sigma1():
     # grid with a bin whose midpoint is exactly 1.0
     grid = make_scale_grid(2.0, 1)
@@ -103,6 +114,13 @@ def test_bank_radii_monotone():
     bank = build_kernel_bank(make_scale_grid(3.0, 6))
     radii = [f.radius for f in bank.factors]
     assert radii == sorted(radii)
+
+
+def test_demo_bank_radii():
+    # The radius is ceil(4 * sigma) at the demo grid's midpoints 0.375,
+    # 1.125, 1.875 and 2.625: ceil of 1.5, 4.5, 7.5 and 10.5.
+    bank = build_kernel_bank(make_scale_grid(3.0, 4))
+    assert [f.radius for f in bank.factors] == [2, 5, 8, 11]
 
 
 def test_bank_deterministic():

@@ -296,6 +296,10 @@ def test_config_validation():
                 dict(momentum=CHAMBOLLE, chambolle_a=np.nan)]:
         with pytest.raises(ValueError):
             SolverConfig(**{"lam": 0.0, "weights": np.ones((2, 2)), **bad})
+    # A relative change below float64's epsilon may never come: 5e-324 is refused.
+    with pytest.raises(ValueError, match="^rel_tol must be >= 2.22"):
+        SolverConfig(lam=0.0, weights=np.ones((2, 2)), rel_tol=5e-324)
+    SolverConfig(lam=0.0, weights=np.ones((2, 2)), rel_tol=np.finfo(np.float64).eps)
 
 
 def test_progress_callback_called():
