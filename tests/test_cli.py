@@ -92,7 +92,6 @@ NAN, INF = float("nan"), float("inf")
     ("truncation", NAN, "'truncation'"),
     ("scene", [1], "'scene'"),
     ("rel_tol", NAN, "'rel_tol'"),
-    ("rel_tol", 5e-324, "'rel_tol'"),  # below float64's epsilon: never reached
     ("K", 1.7, "'K'"),
     ("max_iters", 2.5, "'max_iters'"),
     ("lambda", NAN, "'lambda'"),
@@ -115,6 +114,7 @@ NAN, INF = float("nan"), float("inf")
     # Refused at load, not after 10,000 placement attempts.
     ("scene", {"rows": 16, "cols": 16, "n_sources": 1000000, "min_separation": 1.0},
      "'scene.n_sources' must be <= rows * cols = 256, got 1000000\n"),
+    ("rel_tol", 5e-324, "'rel_tol'"),  # below float64's epsilon: never reached
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
