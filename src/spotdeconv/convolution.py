@@ -1,55 +1,55 @@
 """Size-preserving zero-padded separable convolution and its exact adjoint.
 
 forward() maps a (M, N, K) volume to an (M, N) image by convolving each
-slice with its rank-1 kernel and summing over k. adjoint() is implemented
-as correlation (the true adjoint of zero-padded convolution) even though
-the symmetric taps make it numerically equal to convolution.
+slice with its rank-1 kernel and summing over k. adjoint() is correlation,
+the true adjoint of zero-padded convolution, even where symmetric taps
+make the two equal.
 
 Each 1-D pass is a product with the banded Toeplitz matrix of the taps:
 one GEMM per BLOCK rows with a BLOCK x (BLOCK + 2R) band block, its
-columns clipped to the image (the zero padding). The K kernels share one
-width: each kernel's taps sit centred in a band of radius R =
-min(R_max, max(M, N) - 1), zero-padded, so one K-batched np.matmul per
-block serves every scale. A tap further than max(M, N) - 1 from the
-centre meets no pixel, so the clip is exact and the bands follow the
-image, not the truncation. A pass over the volume costs
+columns clipped to the image (the zero padding). The K kernels' taps sit
+centred and zero-padded in bands of one radius R = min(R_max,
+max(M, N) - 1), so one K-batched np.matmul per block serves every scale;
+a tap further out meets no pixel, so the clip is exact. A pass costs
 O(M * N * K * (BLOCK + 2R)) flops.
 
-adjoint() runs both passes K-batched on the correlation bands: the row
-pass of the shared r into a (K, M, N) workspace, the column pass from it
-into a fresh C-order (K, M, N) buffer, of which it returns the (M, N, K)
-view, so adjoint(r, bank).transpose(2, 0, 1) is that buffer's layout
-again. forward() runs the K-batched row pass on the convolution bands
-into an interleaved (N, K, M) workspace, then one GEMM per column block
-against the interleaved (BLOCK, K * (BLOCK + 2R)) band whose column
-j * K + k is kernel k's column j: the sum over k happens inside the
-GEMM. forward() reads the volume in place when it is the (M, N, K) view
-v.transpose(1, 2, 0) of a C-order (K, M, N) array v, as the solver's
-volumes are; any other layout costs one gather of the volume.
+Every GEMM takes its band block as the left operand. adjoint() runs both
+passes K-batched on the correlation bands: the row pass of the shared r
+into the transposed view of a (K, N, M) workspace, then the column pass
+on windows of that workspace's rows into the transposed view of a fresh
+C-order (K, M, N) buffer; it returns the buffer's (M, N, K) view.
+forward() runs the K-batched row pass on the convolution bands into an
+interleaved (N, K, M) workspace, then one GEMM per column block against
+the interleaved (BLOCK, K * (BLOCK + 2R)) band whose column j * K + k is
+kernel k's column j, so the sum over k happens inside the GEMM. It reads
+the volume in place when it is the (M, N, K) view v.transpose(1, 2, 0)
+of a C-order (K, M, N) array v, as the solver's volumes are; any other
+layout costs one gather.
 
-The bands, their blocks and the workspace views depend only on the bank
-and (M, N), so make_plan() builds them once per plan, as a Plan of
-(band block, input, output) triples over one workspace of K * M * N
-float64; no band state outlives the plan. Both operators take it as
-`plan`; without one, a call makes its own over a fresh workspace. A
-caller that applies the operators many times, as the solver does, makes
-one Plan and passes it to every call: then a call only slices its own
-input and fresh output and runs the GEMMs.
+make_plan() builds the bands, their blocks and the workspace views, which
+depend only on the bank and (M, N), once: a Plan of (band block, input,
+output) triples over one workspace of K * M * N float64; no band state
+outlives it. Both operators take it as `plan`; without one, a call makes
+its own over a fresh workspace. The solver makes one Plan per solve, so
+a call only slices its input and fresh output and runs the GEMMs.
 
-A band holds its taps in order, which makes it a correlation; a
-convolution is the correlation with the reversed taps, the exact
-transpose, so adjoint() stays the true adjoint for asymmetric taps too.
-GEMM adds a tap-by-tap sum's products in another order, so the two
-differ by round-off only.
+A band holds its taps in order, which makes it a correlation; convolution
+is correlation with the reversed taps, the exact transpose, so adjoint()
+stays the true adjoint for asymmetric taps too. GEMM sums the products in
+another order than a tap-by-tap loop: the two differ by round-off only.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-# Rows per GEMM. Of 16, 32, 64 and 128, 32 gave the fastest forward + adjoint
-# at 64^2 and 128^2 on a 2-core host, and tied with 16 and 64 at 256^2.
-BLOCK = 32
+# Rows per GEMM. Full solves, median ms of 21 in two runs at 1 BLAS thread on a
+# 2-core host, 256^2 capped at 50 iterations; at 2 threads 16 was within 9% of best:
+#   BLOCK     8        12       16       24       32
+#   256^2  275/307  285/304  284/301  306/328  307/341
+#   128^2  248/231  237/237  229/235  249/251  240/270
+#   64^2    39/35    36/37    34/33    31/36    36/36
+BLOCK = 16
 
 
 def _bands(bank, extent):
@@ -89,7 +89,7 @@ class Plan(NamedTuple):
     forward_rows: tuple  # (band block, input index, workspace view) per row block
     forward_cols: tuple  # (band block, workspace view, index into out.T) per column block
     adjoint_rows: tuple  # (band block, input index, workspace view) per row block
-    adjoint_cols: tuple  # (workspace view, band block, output index) per column block
+    adjoint_cols: tuple  # (band block, workspace view, index into out.transpose(0, 2, 1))
 
 
 def make_plan(bank, shape, workspace=None):
@@ -107,8 +107,7 @@ def make_plan(bank, shape, workspace=None):
     rows_done = buf.reshape(n, depth, m)  # forward's interleaved (N, K, M) layout
     slices_done = rows_done.transpose(1, 2, 0)  # its (K, M, N) view
     stacked = rows_done.reshape(n * depth, m)
-    volume = buf.reshape(depth, m, n)  # adjoint's (K, M, N) layout
-    corr_t = corr.transpose(0, 2, 1)
+    cols_first = buf.reshape(depth, n, m)  # adjoint's (K, N, M) layout
     row_blocks, col_blocks = tuple(_blocks(m, radius)), tuple(_blocks(n, radius))
     return Plan(
         shape=(depth, m, n),
@@ -117,9 +116,9 @@ def make_plan(bank, shape, workspace=None):
         forward_cols=tuple((interleaved[:b, c0 * depth : c1 * depth],
                             stacked[src.start * depth : src.stop * depth], cols)
                            for cols, src, b, c0, c1 in col_blocks),
-        adjoint_rows=tuple((corr[:, :b, c0:c1], src, volume[:, rows])
+        adjoint_rows=tuple((corr[:, :b, c0:c1], src, cols_first.transpose(0, 2, 1)[:, rows])
                            for rows, src, b, c0, c1 in row_blocks),
-        adjoint_cols=tuple((volume[:, :, src], corr_t[:, c0:c1, :b], (Ellipsis, cols))
+        adjoint_cols=tuple((corr[:, :b, c0:c1], cols_first[:, src], (slice(None), cols))
                            for cols, src, b, c0, c1 in col_blocks),
     )
 
@@ -159,6 +158,7 @@ def adjoint(r, bank, *, plan=None):
     for band, src, dst in plan.adjoint_rows:
         np.matmul(band, x[src], out=dst)
     out = np.empty(plan.shape)
-    for src, band, cols in plan.adjoint_cols:
-        np.matmul(src, band, out=out[cols])
+    out_t = out.transpose(0, 2, 1)
+    for band, src, cols in plan.adjoint_cols:
+        np.matmul(band, src, out=out_t[cols])
     return out.transpose(1, 2, 0)

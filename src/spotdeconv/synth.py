@@ -36,10 +36,14 @@ class SceneSpec:
         require(self.rows >= 1, "rows", ">= 1", self.rows)
         require(self.cols >= 1, "cols", ">= 1", self.cols)
         require(self.n_sources >= 0, "n_sources", ">= 0", self.n_sources)
-        # min_separation >= 1 leaves room for one source per pixel at most.
-        require(self.n_sources <= self.rows * self.cols, "n_sources",
-                f"<= rows * cols = {self.rows * self.cols}", self.n_sources)
         require(self.min_separation >= 1, "min_separation", ">= 1", self.min_separation)
+        # Placement admits one source per q x q pixel block if hypot(q - 1, q - 1) < sep.
+        sep, side = self.min_separation, max(self.rows, self.cols)
+        d = int(min(sep / np.sqrt(2), side - 1))  # q - 1, largest q <= side, up to round-off
+        d += int(d < side - 1 and np.hypot(d + 1, d + 1) < sep) - int(np.hypot(d, d) >= sep)
+        fit = -(-self.rows // (d + 1)) * -(-self.cols // (d + 1))
+        require(self.n_sources <= fit, "n_sources", f"<= {fit}, one per {d + 1}x{d + 1} pixel "
+                f"block at min_separation {sep}", self.n_sources)
         require(0 < self.amplitude_lo <= self.amplitude_hi, "amplitude",
                 "[lo, hi] with 0 < lo <= hi", [self.amplitude_lo, self.amplitude_hi])
         require(self.noise_sigma >= 0, "noise_sigma", ">= 0", self.noise_sigma)

@@ -113,8 +113,14 @@ NAN, INF = float("nan"), float("inf")
      "'scene.amplitude' must be [lo, hi] with 0 < lo <= hi, got [2.0, 1.0]\n"),
     # Refused at load, not after 10,000 placement attempts.
     ("scene", {"rows": 16, "cols": 16, "n_sources": 1000000, "min_separation": 1.0},
-     "'scene.n_sources' must be <= rows * cols = 256, got 1000000\n"),
+     "'scene.n_sources' must be <= 256, one per 1x1 pixel block at min_separation 1.0, "
+     "got 1000000\n"),
     ("rel_tol", 5e-324, "'rel_tol'"),  # below float64's epsilon: never reached
+    # Fit the pixels but not the separation: refused by the packing bound.
+    ("scene", {"rows": 16, "cols": 16, "n_sources": 100, "min_separation": 1.5},
+     "'scene.n_sources' must be <= 64, one per 2x2 pixel block at min_separation 1.5, got 100\n"),
+    ("scene", {"rows": 4, "cols": 4, "n_sources": 10, "min_separation": 10},
+     "'scene.n_sources' must be <= 1, one per 4x4 pixel block at min_separation 10.0, got 10\n"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -420,8 +426,8 @@ def test_pipeline_checks_run_inputs_before_writing(tmp_path, capsys, case, messa
         "weights-step-overflows": {"weights": {"uniform": 1e-155}},
         "weights-shape": {"weights": {"file": str(tmp_path / "w.f64t")}},
         "weights-nan": {"weights": {"file": str(tmp_path / "w.f64t")}},
-        "infeasible-scene": {"scene": {"rows": 4, "cols": 4, "n_sources": 10,
-                                       "min_separation": 10}},
+        "infeasible-scene": {"scene": {"rows": 16, "cols": 16, "n_sources": 3,
+                                       "min_separation": 18}},
     }[case]
     out = tmp_path / "p"
     rc = main(["pipeline", "--config", _write_config(tmp_path, **overrides),

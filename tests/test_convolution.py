@@ -214,10 +214,11 @@ def test_no_band_outlives_its_plan():
 
 @pytest.mark.parametrize("rows, cols, depth, sigma_max, clips", [
     (40, 37, 3, 2.0, False),  # M != N, neither side a multiple of BLOCK
-    (BLOCK + 1, 2 * BLOCK, 4, 2.0, False),  # one side a multiple of BLOCK
+    (2 * BLOCK + 1, 4 * BLOCK, 4, 2.0, False),  # one side a multiple of BLOCK
     (5, 23, 2, 1.5, False),  # both sides below BLOCK
     (3, 4, 3, 3.0, True),  # the extent clips the radius
     (33, 9, 1, 2.0, False),  # K = 1
+    (2 * BLOCK + 5, 3 * BLOCK - 3, 3, BLOCK / 2, False),  # R_max > BLOCK
 ])
 def test_shared_plan_matches_a_plan_per_call(rows, cols, depth, sigma_max, clips):
     # One plan serves any number of forward and adjoint calls in any order,

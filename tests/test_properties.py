@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spotdeconv.convolution import adjoint, forward, make_plan
+from spotdeconv.convolution import BLOCK, adjoint, forward, make_plan
 from spotdeconv.detection import Detection, regional_maxima
 from spotdeconv.evaluation import match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
@@ -186,8 +186,11 @@ def test_regional_maxima_equals_reference(p):
     assert regional_maxima(p) == reference_regional_maxima(p)
 
 
-# Image sides on both sides of the 32-row GEMM block, and anything up to 70.
-sides = st.one_of(st.sampled_from([1, 2, 31, 32, 33, 64, 65]), st.integers(1, 70))
+# Image sides on both sides of one and two GEMM blocks, and anything up to 70;
+# radii reaching past the neighbouring block.
+sides = st.one_of(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]),
+                  st.integers(1, 70))
+radii = st.integers(0, 2 * BLOCK + 1)
 
 
 def _taps(rng, radius, symmetric):
@@ -196,13 +199,15 @@ def _taps(rng, radius, symmetric):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sides, sides, st.integers(0, 11), st.booleans(), st.integers(0, 2**32 - 1))
+@given(sides, sides, radii, st.booleans(), st.integers(0, 2**32 - 1))
 @example(2, 2, 11, False, 0)  # image smaller than the radius
-@example(1, 65, 5, False, 1)
-@example(65, 1, 5, True, 2)
-@example(33, 64, 11, False, 3)
-@example(32, 31, 0, False, 4)
-@example(64, 65, 8, True, 5)
+@example(1, 2 * BLOCK + 1, 5, False, 1)
+@example(2 * BLOCK + 1, 1, 5, True, 2)
+@example(BLOCK + 1, 2 * BLOCK, 11, False, 3)
+@example(BLOCK, BLOCK - 1, 0, False, 4)
+@example(2 * BLOCK, 2 * BLOCK + 1, 8, True, 5)
+@example(2 * BLOCK + 5, 3 * BLOCK - 3, BLOCK + 3, False, 6)  # the band outreaches a block
+@example(3 * BLOCK + 7, 2 * BLOCK + 3, 2 * BLOCK + 1, True, 7)  # ... and two
 def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
     rng = np.random.default_rng(seed)
     taps = _taps(rng, radius, symmetric)
@@ -220,13 +225,13 @@ def test_banded_pass_matches_reference(rows, cols, radius, symmetric, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sides, sides, st.lists(st.integers(0, 11), min_size=4, max_size=4),
-       st.integers(0, 2**32 - 1))
-@example(65, 33, [0, 4, 7, 11], 0)
-@example(1, 65, [11, 0, 5, 2], 1)
-@example(65, 1, [2, 11, 0, 5], 2)
-@example(33, 64, [11, 11, 1, 0], 3)
+@given(sides, sides, st.lists(radii, min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+@example(2 * BLOCK + 1, BLOCK + 1, [0, 4, 7, 11], 0)
+@example(1, 2 * BLOCK + 1, [11, 0, 5, 2], 1)
+@example(2 * BLOCK + 1, 1, [2, 11, 0, 5], 2)
+@example(BLOCK + 1, 2 * BLOCK, [11, 11, 1, 0], 3)
 @example(2, 3, [11, 0, 1, 6], 4)  # the widest kernel outreaches the image
+@example(2 * BLOCK + 5, 3 * BLOCK - 3, [BLOCK + 3, 0, 2 * BLOCK + 1, 5], 5)  # past a block
 def test_forward_adjoint_inner_product(rows, cols, radii, seed):
     # Kernels of mixed radii share one band width; each still acts as itself.
     rng = np.random.default_rng(seed)

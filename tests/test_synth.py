@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.synth import SceneSpec, generate_scene, render_observation
@@ -56,8 +58,19 @@ def test_scale_profile():
 
 
 def test_infeasible_placement_raises():
+    # Within SceneSpec's packing bound (4 here), but no 3 pixels of 16^2 lie 18 apart.
     with pytest.raises(RuntimeError, match="could not place"):
-        generate_scene(_spec(rows=4, cols=4, n_sources=10, min_separation=10.0))
+        generate_scene(_spec(rows=16, cols=16, n_sources=3, min_separation=18.0))
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(1.0, 8.0))
+def test_packing_bound_admits_greedy_raster_placement(rows, cols, min_separation):
+    placed = []
+    for r in range(rows):
+        for c in range(cols):
+            if all(np.hypot(r - pr, c - pc) >= min_separation for pr, pc in placed):
+                placed.append((r, c))
+    _spec(rows=rows, cols=cols, n_sources=len(placed), min_separation=min_separation)
 
 
 def _scalar_placement_scene(spec):
@@ -138,6 +151,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(noise_sigma=-0.1)
     for bad in [dict(rows=0), dict(cols=0), dict(n_sources=-1), dict(n_sources=32 * 32 + 1),
+                # Fit the pixels, not the separation: more than one per 2x2 or 4x4 block.
+                dict(rows=16, cols=16, n_sources=65, min_separation=1.5),
+                dict(rows=4, cols=4, n_sources=2, min_separation=10.0),
                 dict(scale_profile=[0.5, 0.5]), dict(scale_profile=[0.5, np.nan, 0.5]),
                 dict(scale_profile=[1.0, -0.5, 1.0]), dict(scale_profile=[0.0, 0.0, 0.0])]:
         with pytest.raises(ValueError):
