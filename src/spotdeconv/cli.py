@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,21 +32,17 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(SolverConfig):
+    """The SolverConfig the config file describes, its weights None until run_solve
+    sets the image, plus the scale grid, the truncation, the weights' source and the scene."""
     sigma_max_pixels: float
     num_scales: int
     truncation: float
-    lam: float
     weights_uniform: Optional[float]
     weights_file: Optional[str]
-    momentum: str
-    chambolle_a: float
-    rel_tol: float
-    max_iters: int
     seed: int
     scene: Optional[SceneSpec] = None
-    noise_sigma_rel: Optional[float] = None
 
 
 CONFIG_FIELDS = ("sigma_max", "delta_pix", "K", "truncation", "lambda", "weights", "momentum",
@@ -124,14 +120,7 @@ def _parse_config(raw):
         raise ConfigError("config field 'weights' must be {\"uniform\": value} or {\"file\": path}")
 
     momentum = raw.get("momentum", SolverConfig.momentum)
-    solver = SolverConfig(  # its scalars only: apg_solve checks the weights
-        lam=_number(raw, "lambda"), weights=None,
-        momentum=momentum.lower() if isinstance(momentum, str) else momentum,
-        chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a),
-        max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True),
-        rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol))
-
-    scene, noise_sigma_rel = raw.get("scene"), None
+    scene = raw.get("scene")
     if scene is not None:
         if not isinstance(scene, dict):
             raise ConfigError(f"config field 'scene' must be an object, got {scene!r}")
@@ -145,26 +134,26 @@ def _parse_config(raw):
         if not (profile is None or isinstance(profile, list)):
             raise ConfigError("config field 'scene.scale_profile' must be a list")
         number = functools.partial(_number, scene, scope="scene")
-        if "noise_sigma_rel" in scene:  # only run_synth reads it
-            noise_sigma_rel = number("noise_sigma_rel")
-            require(noise_sigma_rel >= 0, "noise_sigma_rel", ">= 0", noise_sigma_rel)
         scene = SceneSpec(
             rows=number("rows", integer=True), cols=number("cols", integer=True),
             depth=grid.num_bins, n_sources=number("n_sources", integer=True),
             min_separation=number("min_separation", 1.0),
             amplitude_lo=_number(amplitude, 0, scope="scene.amplitude"),
             amplitude_hi=_number(amplitude, 1, scope="scene.amplitude"),
-            noise_sigma=number("noise_sigma", 0.0), seed=seed,
+            noise_sigma=number("noise_sigma", 0.0), seed=seed, noise_sigma_rel=(
+                number("noise_sigma_rel") if "noise_sigma_rel" in scene else None),
             scale_profile=None if profile is None else [
                 _number(profile, i, scope="scene.scale_profile") for i in range(len(profile))])
 
-    return RunConfig(
+    return RunConfig(  # weights None: apg_solve checks the weights image
+        lam=_number(raw, "lambda"), weights=None,
+        momentum=momentum.lower() if isinstance(momentum, str) else momentum,
+        chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a),
+        max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True),
+        rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol),
         sigma_max_pixels=grid.sigma_max_pixels, num_scales=grid.num_bins, truncation=truncation,
-        lam=solver.lam,
         weights_uniform=None if "file" in weights else _number(weights, "uniform", scope="weights"),
-        weights_file=weights.get("file"), momentum=solver.momentum,
-        chambolle_a=solver.chambolle_a, rel_tol=solver.rel_tol, max_iters=solver.max_iters,
-        seed=seed, scene=scene, noise_sigma_rel=noise_sigma_rel)
+        weights_file=weights.get("file"), seed=seed, scene=scene)
 
 
 def _kernel_bank(cfg):
@@ -197,16 +186,16 @@ def run_synth(cfg, bank):
     with np.errstate(over="ignore", invalid="ignore"):
         a_true, gt = generate_scene(spec)
         clean = forward(a_true, bank)
-        noise_sigma = (spec.noise_sigma if cfg.noise_sigma_rel is None
-                       else cfg.noise_sigma_rel * float(np.max(clean)))
+        noise_sigma = (spec.noise_sigma if spec.noise_sigma_rel is None
+                       else spec.noise_sigma_rel * float(np.max(clean)))
         d_obs = add_noise(clean, noise_sigma, noise_seed)
     if not np.isfinite(clean).all():
         raise ConfigError("config fields 'scene.amplitude'/'scene.scale_profile' "
                           "give a non-finite clean image")
     if not np.isfinite(d_obs).all():  # the clean image is finite: the noise overflowed
-        field = "noise_sigma" if cfg.noise_sigma_rel is None else "noise_sigma_rel"
+        field = "noise_sigma" if spec.noise_sigma_rel is None else "noise_sigma_rel"
         raise ConfigError(f"config field 'scene.{field}' gives a non-finite observation, "
-                          f"got {cfg.noise_sigma_rel or spec.noise_sigma!r}")
+                          f"got {spec.noise_sigma_rel or spec.noise_sigma!r}")
     meta = {
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
@@ -223,15 +212,7 @@ def run_synth(cfg, bank):
 
 
 def run_solve(cfg, bank, weights, d_obs):
-    solver_cfg = SolverConfig(
-        lam=cfg.lam,
-        weights=weights,
-        momentum=cfg.momentum,
-        chambolle_a=cfg.chambolle_a,
-        max_iters=cfg.max_iters,
-        rel_tol=cfg.rel_tol,
-    )
-    return apg_solve(d_obs, bank, solver_cfg)
+    return apg_solve(d_obs, bank, replace(cfg, weights=weights))
 
 
 def _check_tol(tol):

@@ -31,6 +31,7 @@ class SceneSpec:
     noise_sigma: float
     seed: int
     scale_profile: Optional[Sequence[float]] = None  # default: single random k
+    noise_sigma_rel: Optional[float] = None  # if set: noise std / clean image max
 
     def __post_init__(self):
         require(self.rows >= 1, "rows", ">= 1", self.rows)
@@ -47,6 +48,8 @@ class SceneSpec:
         require(0 < self.amplitude_lo <= self.amplitude_hi, "amplitude",
                 "[lo, hi] with 0 < lo <= hi", [self.amplitude_lo, self.amplitude_hi])
         require(self.noise_sigma >= 0, "noise_sigma", ">= 0", self.noise_sigma)
+        require(self.noise_sigma_rel is None or self.noise_sigma_rel >= 0, "noise_sigma_rel",
+                ">= 0", self.noise_sigma_rel)
         require(self.seed >= 0, "seed", ">= 0", self.seed)
         if self.scale_profile is not None:
             profile = np.asarray(self.scale_profile, dtype=np.float64)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spotdeconv
 from spotdeconv import cli, codec
@@ -88,39 +90,56 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("dotted, value, named", [
-    ("truncation", INF, "'truncation'"),
-    ("truncation", NAN, "'truncation'"),
-    ("scene", [1], "'scene'"),
-    ("rel_tol", NAN, "'rel_tol'"),
-    ("K", 1.7, "'K'"),
-    ("max_iters", 2.5, "'max_iters'"),
-    ("lambda", NAN, "'lambda'"),
-    ("weights.uniform", NAN, "'weights.uniform'"),
-    ("chambolle_a", NAN, "'chambolle_a'"),
-    ("sigma_max", NAN, "'sigma_max'"),
-    ("delta_pix", NAN, "'delta_pix'"),
-    ("scene.noise_sigma_rel", NAN, "'scene.noise_sigma_rel'"),
-    ("scene.noise_sigma", 0.1, "noise_sigma and noise_sigma_rel"),
-    ("scene.n_sources", -1, "n_sources"),
-    ("scene.rows", 0, "rows"),
-    ("max_iter", 3, "'max_iter'"),
-    ("scene.noise_sigmarel", 0.5, "'scene.noise_sigmarel'"),
+    pytest.param("truncation", INF, "'truncation'", id="truncation-inf-'truncation'"),
+    pytest.param("truncation", NAN, "'truncation'", id="truncation-nan-'truncation'"),
+    pytest.param("scene", [1], "'scene'", id="scene-value2-'scene'"),
+    pytest.param("rel_tol", NAN, "'rel_tol'", id="rel_tol-nan-'rel_tol'"),
+    pytest.param("K", 1.7, "'K'", id="K-1.7-'K'"),
+    pytest.param("max_iters", 2.5, "'max_iters'", id="max_iters-2.5-'max_iters'"),
+    pytest.param("lambda", NAN, "'lambda'", id="lambda-nan-'lambda'"),
+    pytest.param("weights.uniform", NAN, "'weights.uniform'",
+                 id="weights.uniform-nan-'weights.uniform'"),
+    pytest.param("chambolle_a", NAN, "'chambolle_a'", id="chambolle_a-nan-'chambolle_a'"),
+    pytest.param("sigma_max", NAN, "'sigma_max'", id="sigma_max-nan-'sigma_max'"),
+    pytest.param("delta_pix", NAN, "'delta_pix'", id="delta_pix-nan-'delta_pix'"),
+    pytest.param("scene.noise_sigma_rel", NAN, "'scene.noise_sigma_rel'",
+                 id="scene.noise_sigma_rel-nan-'scene.noise_sigma_rel'"),
+    pytest.param("scene.noise_sigma", 0.1, "noise_sigma and noise_sigma_rel",
+                 id="scene.noise_sigma-0.1-noise_sigma and noise_sigma_rel"),
+    pytest.param("scene.n_sources", -1, "n_sources", id="scene.n_sources--1-n_sources"),
+    pytest.param("scene.rows", 0, "rows", id="scene.rows-0-rows"),
+    pytest.param("max_iter", 3, "'max_iter'", id="max_iter-3-'max_iter'"),
+    pytest.param("scene.noise_sigmarel", 0.5, "'scene.noise_sigmarel'",
+                 id="scene.noise_sigmarel-0.5-'scene.noise_sigmarel'"),
     # A library bound, worded with the config field's name.
-    ("K", 0, "'K' must be >= 1, got 0\n"),
-    ("seed", -1, "'seed' must be >= 0, got -1\n"),
-    ("scene.rows", 0, "'scene.rows' must be >= 1, got 0\n"),
-    ("scene.amplitude", [2.0, 1.0],
-     "'scene.amplitude' must be [lo, hi] with 0 < lo <= hi, got [2.0, 1.0]\n"),
+    pytest.param("K", 0, "'K' must be >= 1, got 0\n", id="K-0-'K' must be >= 1, got 0\n"),
+    pytest.param("seed", -1, "'seed' must be >= 0, got -1\n",
+                 id="seed--1-'seed' must be >= 0, got -1\n"),
+    pytest.param("scene.rows", 0, "'scene.rows' must be >= 1, got 0\n",
+                 id="scene.rows-0-'scene.rows' must be >= 1, got 0\n"),
+    pytest.param("scene.amplitude", [2.0, 1.0],
+                 "'scene.amplitude' must be [lo, hi] with 0 < lo <= hi, got [2.0, 1.0]\n",
+                 id="scene.amplitude-value20-'scene.amplitude' must be [lo, hi] "
+                    "with 0 < lo <= hi, got [2.0, 1.0]\n"),
     # Refused at load, not after 10,000 placement attempts.
-    ("scene", {"rows": 16, "cols": 16, "n_sources": 1000000, "min_separation": 1.0},
-     "'scene.n_sources' must be <= 256, one per 1x1 pixel block at min_separation 1.0, "
-     "got 1000000\n"),
-    ("rel_tol", 5e-324, "'rel_tol'"),  # below float64's epsilon: never reached
+    pytest.param("scene", {"rows": 16, "cols": 16, "n_sources": 1000000, "min_separation": 1.0},
+                 "'scene.n_sources' must be <= 256, one per 1x1 pixel block at min_separation "
+                 "1.0, got 1000000\n",
+                 id="scene-value21-'scene.n_sources' must be <= 256, one per 1x1 pixel block "
+                    "at min_separation 1.0, got 1000000\n"),
+    pytest.param("rel_tol", 5e-324, "'rel_tol'",
+                 id="rel_tol-5e-324-'rel_tol'"),  # below float64's epsilon: never reached
     # Fit the pixels but not the separation: refused by the packing bound.
-    ("scene", {"rows": 16, "cols": 16, "n_sources": 100, "min_separation": 1.5},
-     "'scene.n_sources' must be <= 64, one per 2x2 pixel block at min_separation 1.5, got 100\n"),
-    ("scene", {"rows": 4, "cols": 4, "n_sources": 10, "min_separation": 10},
-     "'scene.n_sources' must be <= 1, one per 4x4 pixel block at min_separation 10.0, got 10\n"),
+    pytest.param("scene", {"rows": 16, "cols": 16, "n_sources": 100, "min_separation": 1.5},
+                 "'scene.n_sources' must be <= 64, one per 2x2 pixel block at min_separation "
+                 "1.5, got 100\n",
+                 id="scene-value23-'scene.n_sources' must be <= 64, one per 2x2 pixel block "
+                    "at min_separation 1.5, got 100\n"),
+    pytest.param("scene", {"rows": 4, "cols": 4, "n_sources": 10, "min_separation": 10},
+                 "'scene.n_sources' must be <= 1, one per 4x4 pixel block at min_separation "
+                 "10.0, got 10\n",
+                 id="scene-value24-'scene.n_sources' must be <= 1, one per 4x4 pixel block "
+                    "at min_separation 10.0, got 10\n"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -180,6 +199,32 @@ def test_load_config_any_field_value(tmp_path, dotted, value):
         build_kernel_bank(grid, run.truncation)
     SolverConfig(lam=run.lam, weights=np.ones((2, 2)), momentum=run.momentum,
                  chambolle_a=run.chambolle_a, max_iters=run.max_iters, rel_tol=run.rel_tol)
+
+
+# For each SolverConfig field a config sets: a valid value, neither its default nor the demo's.
+SOLVER_FIELD_VALUES = {"lam": 0.125, "momentum": "chambolle", "chambolle_a": 4.5,
+                       "max_iters": 7, "rel_tol": 1e-3}
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(SolverConfig)
+                                   if f.name != "weights"], ids=lambda f: f.name)
+def test_every_solver_field_reaches_apg_solve(tmp_path, monkeypatch, field):
+    # A SolverConfig field is a config key, and solve hands apg_solve its value.
+    key = "lambda" if field.name == "lam" else field.name
+    assert key in cli.CONFIG_FIELDS
+    value = SOLVER_FIELD_VALUES[field.name]
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    assert value != cfg.get(key) and value != field.default
+    cfg[key] = value
+    path, obs = tmp_path / "cfg.json", tmp_path / "d_obs.f64t"
+    path.write_text(json.dumps(cfg))
+    codec.write_tensor(obs, np.ones((8, 8)))
+    seen, solve = [], cli.apg_solve
+    monkeypatch.setattr(cli, "apg_solve", lambda d_obs, bank, solver_cfg: (
+        seen.append(solver_cfg) or solve(d_obs, bank, solver_cfg)))
+    assert main(["solve", "--config", str(path), "--obs", str(obs),
+                 "--out", str(tmp_path / "a.f64t")]) == 0
+    assert getattr(seen[0], field.name) == value
 
 
 FUZZ_CONFIG = {
@@ -755,6 +800,15 @@ def test_evaluate_ignores_detection_row_order(tmp_path):
     assert json.loads(outputs[0][0])["TP"] == 3
 
 
+def _run_quiet(capsys, argv):
+    """In-process main(argv) with RuntimeWarning as an error: (exit code, stderr)."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
 def _evaluate(work, capsys, dets, gt, tol, name="eval"):
     """In-process `evaluate` of the rows `dets` and `gt` with RuntimeWarning as
     an error: (exit code, stderr, report bytes, sweep bytes), None if unwritten."""
@@ -762,13 +816,10 @@ def _evaluate(work, capsys, dets, gt, tol, name="eval"):
     codec.write_detections_csv(det_path, dets)
     codec.write_ground_truth_csv(gt_path, gt)
     report, sweep = work / f"{name}.json", work / f"{name}_sweep.csv"
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = main(["evaluate", "--detections", str(det_path), "--ground-truth", str(gt_path),
-                   "--out", str(report), "--sweep", str(sweep), "--tol", repr(tol)])
-    return rc, capsys.readouterr().err, *(path.read_bytes() if path.exists() else None
-                                          for path in (report, sweep))
+    rc, err = _run_quiet(capsys, ["evaluate", "--detections", str(det_path),
+                                  "--ground-truth", str(gt_path), "--out", str(report),
+                                  "--sweep", str(sweep), "--tol", repr(tol)])
+    return rc, err, *(path.read_bytes() if path.exists() else None for path in (report, sweep))
 
 
 def test_evaluate_overflowing_distance_is_beyond_tol(tmp_path, capsys):
@@ -782,14 +833,14 @@ def test_evaluate_overflowing_distance_is_beyond_tol(tmp_path, capsys):
     assert match([Detection(*d) for d in dets], gt) == (0, 1, 1, {})
 
 
-EVAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-3, 3.0, 5e-324, 1e-310, -1e-310,
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-3, 3.0, 5e-324, 1e-310, -1e-310,
                                1e154, 1e200, 1e300, -1e300, 1.7e308])
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(dets=st.lists(st.tuples(EVAL_VALUES, EVAL_VALUES, EVAL_VALUES), max_size=6),
-       gt=st.lists(st.tuples(EVAL_VALUES, EVAL_VALUES), max_size=4),
+@given(dets=st.lists(st.tuples(EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), max_size=6),
+       gt=st.lists(st.tuples(EDGE_VALUES, EDGE_VALUES), max_size=4),
        tol=st.sampled_from([0.0, 1e-3, 3.0, 1e300]), shuffle=st.randoms())
 @example(dets=[(1e308, -1e308, 1.0)], gt=[(-1e308, 1e308)], tol=3.0, shuffle=random.Random(0))
 # Equal but for the sign of a zero p: the threshold is -0.0 in either order.
@@ -807,6 +858,52 @@ def test_evaluate_contract_under_random_inputs(tmp_path, capsys, dets, gt, tol, 
     with np.errstate(over="ignore"):  # the oracle's np.hypot of huge differences
         want = reference_threshold_sweep([Detection(*d) for d in dets], gt, tol)
     assert [(float(t), int(tp), int(fp), int(fn)) for t, tp, fp, fn, *_ in rows] == want
+
+
+def _assert_contract(rc, err, outputs):
+    """Exit 0, every output written and nothing on stderr; or exit 1, one
+    `error: ` line, no traceback and no output written."""
+    if rc == 0:
+        assert err == "" and all(path.exists() for path in outputs)
+    else:
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert not any(path.exists() for path in outputs)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obs=arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                  elements=EDGE_VALUES),
+       volume=arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16),
+                                           st.integers(1, 4)), elements=EDGE_VALUES),
+       weights=st.sampled_from(["default", "default", "default", "default", "file", "uniform"]),
+       data=st.data())
+def test_solve_detect_contract_under_random_files(tmp_path, capsys, obs, volume, weights,
+                                                  data):
+    # Any small observation is solved and any small volume is detected, or
+    # the command fails with one line and writes nothing.
+    cfg = dict(FUZZ_CONFIG, max_iters=20)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        if weights == "file":
+            w = data.draw(arrays(np.float64, obs.shape, elements=EDGE_VALUES), label="w")
+            codec.write_tensor(work / "w.f64t", w)
+            cfg["weights"] = {"file": str(work / "w.f64t")}
+        elif weights == "uniform":
+            cfg["weights"] = {"uniform": data.draw(EDGE_VALUES, label="uniform")}
+        (work / "cfg.json").write_text(json.dumps(cfg))
+        codec.write_tensor(work / "d_obs.f64t", obs)
+        codec.write_tensor(work / "a.f64t", volume)
+        outputs = [work / "a_opt.f64t", work / "trace.csv"]
+        rc, err = _run_quiet(capsys, ["solve", "--config", str(work / "cfg.json"),
+                                      "--obs", str(work / "d_obs.f64t"),
+                                      "--out", str(outputs[0]), "--trace", str(outputs[1])])
+        _assert_contract(rc, err, outputs)
+        rc, err = _run_quiet(capsys, ["detect", "--volume", str(work / "a.f64t"),
+                                      "--out", str(work / "det.csv")])
+        _assert_contract(rc, err, [work / "det.csv"])
 
 
 @pytest.mark.parametrize("which, body, message", [
