@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,10 +32,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig(SolverConfig):
-    """The SolverConfig the config file describes, its weights None until run_solve
-    sets the image, plus the scale grid, the truncation, the weights' source and the scene."""
+    """The SolverConfig the config file describes, plus the scale grid, the
+    truncation, the weights' source and the scene."""
     sigma_max_pixels: float
     num_scales: int
     truncation: float
@@ -93,7 +93,7 @@ def load_config(path):
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"config {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -145,8 +145,8 @@ def _parse_config(raw):
             scale_profile=None if profile is None else [
                 _number(profile, i, scope="scene.scale_profile") for i in range(len(profile))])
 
-    return RunConfig(  # weights None: apg_solve checks the weights image
-        lam=_number(raw, "lambda"), weights=None,
+    return RunConfig(
+        lam=_number(raw, "lambda"),
         momentum=momentum.lower() if isinstance(momentum, str) else momentum,
         chambolle_a=_number(raw, "chambolle_a", SolverConfig.chambolle_a),
         max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True),
@@ -212,7 +212,7 @@ def run_synth(cfg, bank):
 
 
 def run_solve(cfg, bank, weights, d_obs):
-    return apg_solve(d_obs, bank, replace(cfg, weights=weights))
+    return apg_solve(d_obs, weights, bank, cfg)
 
 
 def _check_tol(tol):

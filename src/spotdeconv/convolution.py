@@ -124,6 +124,9 @@ def make_plan(bank, shape, workspace=None):
 
 
 def _plan_for(plan, bank, shape):
+    """`plan`, or a fresh one, for the (K, M, N) `shape` an input gives: both operators' check."""
+    if len(shape) != 3 or shape[0] != bank.num_kernels:
+        raise ValueError(f"input gives (K, M, N) = {shape}, not {bank.num_kernels} (M, N) slices")
     if plan is None:
         return make_plan(bank, shape[1:])
     if plan.shape != shape:
@@ -133,17 +136,11 @@ def _plan_for(plan, bank, shape):
 
 def forward(a, bank, *, plan=None):
     """Sum over k of slice-wise convolution: the observation operator."""
-    if a.ndim != 3 or a.shape[2] != bank.num_kernels:
-        raise ValueError(
-            f"volume depth {a.shape[2] if a.ndim == 3 else None} does not match "
-            f"kernel bank size {bank.num_kernels}"
-        )
-    m, n, depth = a.shape
-    plan = _plan_for(plan, bank, (depth, m, n))
+    plan = _plan_for(plan, bank, a.shape[2:] + a.shape[:2])
     x = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64)
     for band, src, dst in plan.forward_rows:
         np.matmul(band, x[src], out=dst)
-    out = np.empty((m, n))
+    out = np.empty(plan.shape[1:])
     out_t = out.T
     for band, src, cols in plan.forward_cols:
         np.matmul(band, src, out=out_t[cols])

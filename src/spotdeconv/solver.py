@@ -67,10 +67,9 @@ NO_MOMENTUM = "none"
 _LEAST_POSITIVE = np.finfo(np.float64).smallest_subnormal
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     lam: float
-    weights: np.ndarray
     momentum: str = BECK
     chambolle_a: float = 3.0
     max_iters: int = 5000
@@ -164,9 +163,10 @@ def objective(a, d_obs, w, bank, lam):
     return float(np.sum(residual * residual) + lam * np.sum(group_norm_image(a)))
 
 
-def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
-    """Run the accelerated proximal gradient iteration until the relative
-    Frobenius change of the iterate drops below cfg.rel_tol or max_iters hits.
+def apg_solve(d_obs, w, bank, cfg, progress: Optional[Callable] = None):
+    """Minimize objective(a, d_obs, w, bank, cfg.lam) over a >= 0: run the
+    accelerated proximal gradient iteration until the relative Frobenius
+    change of the iterate drops below cfg.rel_tol or max_iters hits.
 
     progress(i, rel_change, a), if given, is called after each iteration i
     with the accepted iterate a, an (M, N, K) view of the loop's (K, M, N)
@@ -175,11 +175,9 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     converged or hit max_iters.
     """
     m, n = d_obs.shape
-    if cfg.weights.shape != d_obs.shape:
-        raise ValueError(
-            f"weights shape {cfg.weights.shape} does not match observation {d_obs.shape}"
-        )
-    eta = step_size(bank.grid.sigma_max_pixels, cfg.weights)
+    if w.shape != d_obs.shape:
+        raise ValueError(f"weights shape {w.shape} does not match observation {d_obs.shape}")
+    eta = step_size(bank.grid.sigma_max_pixels, w)
     kappa = 0.5 * eta * cfg.lam
 
     a = np.zeros((bank.num_kernels, m, n))
@@ -188,7 +186,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
     plan = make_plan(bank, (m, n), diff)
     norm2_a = 0.0  # ||a||^2
     fa = fb = np.zeros((m, n))  # forward(a) of the zero start
-    scale = -eta * np.square(cfg.weights)  # the residual's factor in the gradient step
+    scale = -eta * np.square(w)  # the residual's factor in the gradient step
 
     objectives = []
     restarts = start = 0
@@ -212,7 +210,7 @@ def apg_solve(d_obs, bank, cfg, progress: Optional[Callable] = None):
 
             fa_new = forward(a_new.transpose(1, 2, 0), bank, plan=plan)
             fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
-            fidelity = np.sum(np.square(cfg.weights * (d_obs - fa_new)))
+            fidelity = np.sum(np.square(w * (d_obs - fa_new)))
             objectives.append(float(fidelity + cfg.lam * regularizer))
             if not (np.isfinite(objectives[-1]) and np.isfinite(rel_change)):
                 raise FloatingPointError(

@@ -19,6 +19,16 @@ GENERATOR_NAME = "numpy-pcg64"
 _PLACEMENT_RETRY_CAP = 10000
 
 
+def _packing_bound(rows, cols, sep):
+    """(n, q): placement admits one source per q x q pixel block, q the largest
+    side <= max(rows, cols) with hypot(q - 1, q - 1) < sep, so at most
+    n = ceil(rows / q) * ceil(cols / q) sources fit rows x cols."""
+    side = max(rows, cols)
+    d = int(min(sep / np.sqrt(2), side - 1))  # q - 1, up to round-off
+    d += int(d < side - 1 and np.hypot(d + 1, d + 1) < sep) - int(np.hypot(d, d) >= sep)
+    return -(-rows // (d + 1)) * -(-cols // (d + 1)), d + 1
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     rows: int
@@ -38,13 +48,9 @@ class SceneSpec:
         require(self.cols >= 1, "cols", ">= 1", self.cols)
         require(self.n_sources >= 0, "n_sources", ">= 0", self.n_sources)
         require(self.min_separation >= 1, "min_separation", ">= 1", self.min_separation)
-        # Placement admits one source per q x q pixel block if hypot(q - 1, q - 1) < sep.
-        sep, side = self.min_separation, max(self.rows, self.cols)
-        d = int(min(sep / np.sqrt(2), side - 1))  # q - 1, largest q <= side, up to round-off
-        d += int(d < side - 1 and np.hypot(d + 1, d + 1) < sep) - int(np.hypot(d, d) >= sep)
-        fit = -(-self.rows // (d + 1)) * -(-self.cols // (d + 1))
-        require(self.n_sources <= fit, "n_sources", f"<= {fit}, one per {d + 1}x{d + 1} pixel "
-                f"block at min_separation {sep}", self.n_sources)
+        fit, q = _packing_bound(self.rows, self.cols, self.min_separation)
+        require(self.n_sources <= fit, "n_sources", f"<= {fit}, one per {q}x{q} pixel "
+                f"block at min_separation {self.min_separation}", self.n_sources)
         require(0 < self.amplitude_lo <= self.amplitude_hi, "amplitude",
                 "[lo, hi] with 0 < lo <= hi", [self.amplitude_lo, self.amplitude_hi])
         require(self.noise_sigma >= 0, "noise_sigma", ">= 0", self.noise_sigma)
@@ -63,25 +69,36 @@ def generate_scene(spec):
     """Place n_sources pixel-sparse groups; returns (a_true, ground_truth).
 
     Raises RuntimeError if the separation constraint cannot be met within
-    the retry cap.
+    the retry cap; at once when a placement leaves too little room for the
+    sources left, so that every further draw would be refused or wasted.
     """
     rng = np.random.default_rng(spec.seed)
     a_true = np.zeros((spec.rows, spec.cols, spec.depth))
-    placed = np.empty((spec.n_sources, 2), dtype=np.int64)
-    count = attempts = 0
-    while count < spec.n_sources:
-        if attempts >= _PLACEMENT_RETRY_CAP:
-            raise RuntimeError(
-                f"could not place {spec.n_sources} sources at separation "
-                f">= {spec.min_separation} within {_PLACEMENT_RETRY_CAP} attempts"
-            )
+    # free[r, c]: (r, c) lies >= min_separation from every placed source. Each
+    # placement ANDs into its window the stamp of the offsets that stay free;
+    # an offset beyond the stamp is beyond the separation or the image.
+    hr, hc = (int(min(spec.min_separation, side - 1)) for side in (spec.rows, spec.cols))
+    dr, dc = np.ogrid[-hr : hr + 1, -hc : hc + 1]
+    stamp = np.hypot(dr, dc) >= spec.min_separation
+    free = np.ones((spec.rows, spec.cols), dtype=bool)
+    positions = []
+    attempts = 0
+    while len(positions) < spec.n_sources and attempts < _PLACEMENT_RETRY_CAP:
         attempts += 1
         r = int(rng.integers(0, spec.rows))
         c = int(rng.integers(0, spec.cols))
-        if (np.hypot(r - placed[:count, 0], c - placed[:count, 1]) >= spec.min_separation).all():
-            placed[count] = r, c
-            count += 1
-    positions = placed.tolist()
+        if free[r, c]:
+            positions.append((r, c))
+            free[max(r - hr, 0) : r + hr + 1, max(c - hc, 0) : c + hc + 1] &= stamp[
+                max(hr - r, 0) : hr + spec.rows - r, max(hc - c, 0) : hc + spec.cols - c]
+            left = spec.n_sources - len(positions)
+            if left and _room(free, spec.min_separation) < left:
+                break  # no placement of the sources left exists
+    if len(positions) < spec.n_sources:
+        raise RuntimeError(
+            f"could not place {spec.n_sources} sources at separation "
+            f">= {spec.min_separation} within {_PLACEMENT_RETRY_CAP} attempts"
+        )
 
     profile = None if spec.scale_profile is None else np.array(spec.scale_profile, float)
     for r, c in positions:
@@ -94,6 +111,16 @@ def generate_scene(spec):
 
     gt = [(float(r), float(c)) for r, c in positions]
     return a_true, gt
+
+
+def _room(free, separation):
+    """The packing bound of the free pixels' bounding box: the most sources
+    that could still be placed."""
+    rows, cols = np.flatnonzero(free.any(1)), np.flatnonzero(free.any(0))
+    if rows.size == 0:
+        return 0
+    return _packing_bound(int(rows[-1] - rows[0]) + 1, int(cols[-1] - cols[0]) + 1,
+                          separation)[0]
 
 
 def add_noise(clean, noise_sigma, seed):

@@ -165,8 +165,8 @@ def test_criterion_5_tiny_instance_optimality():
     d_obs = np.array([[0.9]])
     w = np.array([[1.0]])
     lam = 0.2
-    cfg = SolverConfig(lam=lam, weights=w, momentum=BECK, max_iters=20000, rel_tol=1e-12)
-    res = apg_solve(d_obs, bank, cfg)
+    cfg = SolverConfig(lam=lam, momentum=BECK, max_iters=20000, rel_tol=1e-12)
+    res = apg_solve(d_obs, w, bank, cfg)
     solver_obj_a = naive_objective(res.a_opt, d_obs, w, bank, lam)
     _, oracle_obj_a = grid_refine_minimize(
         lambda x: naive_objective(x.reshape(1, 1, 2), d_obs, w, bank, lam),
@@ -182,8 +182,8 @@ def test_criterion_5_tiny_instance_optimality():
     d_obs2 = forward(a_true, bank2)
     w2 = np.ones((4, 4))
     lam2 = 0.05
-    cfg2 = SolverConfig(lam=lam2, weights=w2, momentum=BECK, max_iters=20000, rel_tol=1e-12)
-    res2 = apg_solve(d_obs2, bank2, cfg2)
+    cfg2 = SolverConfig(lam=lam2, momentum=BECK, max_iters=20000, rel_tol=1e-12)
+    res2 = apg_solve(d_obs2, w2, bank2, cfg2)
     solver_obj_b = naive_objective(res2.a_opt, d_obs2, w2, bank2, lam2)
     _, oracle_obj_b = coordinate_descent_minimize(
         lambda x: naive_objective(x.reshape(4, 4, 1), d_obs2, w2, bank2, lam2),
@@ -200,16 +200,17 @@ def test_criterion_5_tiny_instance_optimality():
 
 def test_criterion_6_ista_monotonicity():
     cfg, bank, d_obs, _ = _demo_problem()
+    w = np.ones(d_obs.shape)
     solver_cfg = SolverConfig(
-        lam=cfg.lam, weights=np.ones(d_obs.shape), momentum=NO_MOMENTUM,
+        lam=cfg.lam, momentum=NO_MOMENTUM,
         max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
     )
     objs = []
 
     def record(i, rel_change, a):
-        objs.append(objective(a, d_obs, solver_cfg.weights, bank, cfg.lam))
+        objs.append(objective(a, d_obs, w, bank, cfg.lam))
 
-    res = apg_solve(d_obs, bank, solver_cfg, progress=record)
+    res = apg_solve(d_obs, w, bank, solver_cfg, progress=record)
     trace = np.array(objs)
     increases = int(np.sum(trace[1:] > trace[:-1] * (1 + 1e-12)))
     _report(
@@ -224,10 +225,10 @@ def test_criterion_7_sparsity_lambda_monotonicity():
     counts = []
     for lam in [cfg.lam, 2 * cfg.lam, 4 * cfg.lam]:
         solver_cfg = SolverConfig(
-            lam=lam, weights=np.ones(d_obs.shape), momentum=cfg.momentum,
+            lam=lam, momentum=cfg.momentum,
             max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
         )
-        res = apg_solve(d_obs, bank, solver_cfg)
+        res = apg_solve(d_obs, np.ones(d_obs.shape), bank, solver_cfg)
         counts.append(int(np.sum(group_norm_image(res.a_opt) > 1e-9)))
     _report(
         "criterion 7: nonzero-group count non-increasing in lambda",

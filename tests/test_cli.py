@@ -71,6 +71,28 @@ def test_load_config_bad_weights(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("case, problem", [
+    ("missing", "cannot be read: [Errno 2]"),
+    ("directory", "cannot be read: [Errno 21]"),
+    ("invalid-json", "is not valid JSON: Expecting"),
+    ("json-array", "must be a JSON object"),
+])
+def test_unloadable_config_exit_code(tmp_path, capsys, case, problem):
+    # load_config refuses a config file it cannot read or parse with one line
+    # naming the file, before the pipeline makes its out-dir.
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_text({"invalid-json": '{"K": 2,', "json-array": "[]"}[case])
+    out = tmp_path / "p"
+    rc = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: config {path} {problem}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_load_config_bad_max_iters(tmp_path, max_iters):
     path = _write_config(tmp_path, max_iters=max_iters)
@@ -197,8 +219,8 @@ def test_load_config_any_field_value(tmp_path, dotted, value):
     grid = make_scale_grid(run.sigma_max_pixels, run.num_scales)
     if run.num_scales <= 64 and not run.truncation * run.sigma_max_pixels > 1e4:
         build_kernel_bank(grid, run.truncation)
-    SolverConfig(lam=run.lam, weights=np.ones((2, 2)), momentum=run.momentum,
-                 chambolle_a=run.chambolle_a, max_iters=run.max_iters, rel_tol=run.rel_tol)
+    SolverConfig(lam=run.lam, momentum=run.momentum, chambolle_a=run.chambolle_a,
+                 max_iters=run.max_iters, rel_tol=run.rel_tol)
 
 
 # For each SolverConfig field a config sets: a valid value, neither its default nor the demo's.
@@ -206,8 +228,7 @@ SOLVER_FIELD_VALUES = {"lam": 0.125, "momentum": "chambolle", "chambolle_a": 4.5
                        "max_iters": 7, "rel_tol": 1e-3}
 
 
-@pytest.mark.parametrize("field", [f for f in dataclasses.fields(SolverConfig)
-                                   if f.name != "weights"], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
 def test_every_solver_field_reaches_apg_solve(tmp_path, monkeypatch, field):
     # A SolverConfig field is a config key, and solve hands apg_solve its value.
     key = "lambda" if field.name == "lam" else field.name
@@ -220,8 +241,8 @@ def test_every_solver_field_reaches_apg_solve(tmp_path, monkeypatch, field):
     path.write_text(json.dumps(cfg))
     codec.write_tensor(obs, np.ones((8, 8)))
     seen, solve = [], cli.apg_solve
-    monkeypatch.setattr(cli, "apg_solve", lambda d_obs, bank, solver_cfg: (
-        seen.append(solver_cfg) or solve(d_obs, bank, solver_cfg)))
+    monkeypatch.setattr(cli, "apg_solve", lambda d_obs, w, bank, solver_cfg: (
+        seen.append(solver_cfg) or solve(d_obs, w, bank, solver_cfg)))
     assert main(["solve", "--config", str(path), "--obs", str(obs),
                  "--out", str(tmp_path / "a.f64t")]) == 0
     assert getattr(seen[0], field.name) == value

@@ -57,6 +57,14 @@ def test_bad_version_and_ndim(tmp_path):
         codec.read_tensor(path)
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2, 1)], ids=["1d", "4d"])
+def test_write_tensor_refuses_ndim(tmp_path, shape):
+    path = tmp_path / "t.f64t"
+    with pytest.raises(ValueError, match=f"only 2-D/3-D tensors supported, got ndim={len(shape)}"):
+        codec.write_tensor(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_truncated_payload_reports_lengths(tmp_path):
     path = tmp_path / "t.f64t"
     codec.write_tensor(path, np.zeros((2, 2)))

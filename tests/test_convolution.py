@@ -57,6 +57,22 @@ def test_forward_zero_and_depth_mismatch():
         forward(np.zeros((5, 5, 2)), bank)
 
 
+@pytest.mark.parametrize("op, shape", [
+    (forward, (5, 5)),  # an image, not a volume
+    (forward, (5,)),
+    (forward, (5, 5, 2)),  # K = 2 on a bank of 3
+    (forward, (5, 5, 3, 1)),
+    (adjoint, (5,)),
+    (adjoint, (5, 5, 3)),  # a volume, not an image
+], ids=lambda x: getattr(x, "__name__", None) or "x".join(map(str, x)))
+def test_operators_refuse_mis_shaped_input(op, shape):
+    # One check for both operators, before any unpacking: each refusal names
+    # the (K, M, N) its input gives and the bank's K.
+    bank = build_kernel_bank(make_scale_grid(2.0, 3))
+    with pytest.raises(ValueError, match=r"^input gives \(K, M, N\) = .*, not 3 \(M, N\) slices$"):
+        op(np.zeros(shape), bank)
+
+
 def test_forward_near_identity():
     bank = _near_delta_bank()
     rng = np.random.default_rng(11)

@@ -100,10 +100,10 @@ def test_progress_rel_change_is_relative_step(seed, momentum, lam):
     rng = np.random.default_rng(seed)
     bank = build_kernel_bank(make_scale_grid(float(rng.uniform(1.0, 2.5)), 2))
     d_obs = rng.uniform(0.0, 2.0, size=(7, 6))
-    cfg = SolverConfig(lam=lam, weights=rng.uniform(0.5, 1.5, size=d_obs.shape),
-                       momentum=momentum, max_iters=30)
+    w = rng.uniform(0.5, 1.5, size=d_obs.shape)
+    cfg = SolverConfig(lam=lam, momentum=momentum, max_iters=30)
     seen = []
-    apg_solve(d_obs, bank, cfg, progress=lambda i, rel, a: seen.append((rel, a.copy())))
+    apg_solve(d_obs, w, bank, cfg, progress=lambda i, rel, a: seen.append((rel, a.copy())))
     prev = np.zeros_like(seen[0][1])
     for rel, a in seen:
         want = np.linalg.norm(a - prev) / max(np.linalg.norm(prev), 1e-12)

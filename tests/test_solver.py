@@ -89,6 +89,11 @@ def test_prox_group_zero_guard():
     assert np.all(out == 0)
 
 
+def test_prox_group_refuses_negative_kappa():
+    with pytest.raises(ValueError, match="^kappa must be >= 0, got -0.5$"):
+        prox_group(np.ones((2, 2, 3)), -0.5)
+
+
 def test_prox_group_matches_pixel_oracle():
     rng = np.random.default_rng(20)
     for _ in range(100):
@@ -151,13 +156,9 @@ def test_objective_shape_mismatch():
         objective(np.zeros((4, 4, 1)), np.zeros((5, 5)), np.ones((5, 5)), bank, 0.0)
 
 
-def _cfg(lam, shape, momentum=BECK, **kw):
-    return SolverConfig(lam=lam, weights=np.ones(shape), momentum=momentum, **kw)
-
-
 def test_solve_zero_observation_fixed_point():
     bank = build_kernel_bank(make_scale_grid(1.0, 2))
-    res = apg_solve(np.zeros((6, 6)), bank, _cfg(0.1, (6, 6)))
+    res = apg_solve(np.zeros((6, 6)), np.ones((6, 6)), bank, SolverConfig(lam=0.1))
     assert res.iterations == 1
     assert np.all(res.a_opt == 0)
 
@@ -167,7 +168,7 @@ def test_solve_full_shrinkage():
     rng = np.random.default_rng(25)
     d_obs = rng.uniform(0, 1, size=(6, 6))
     # lambda overwhelms any gradient step: solution collapses to zero
-    res = apg_solve(d_obs, bank, _cfg(1e4, (6, 6), max_iters=50))
+    res = apg_solve(d_obs, np.ones((6, 6)), bank, SolverConfig(lam=1e4, max_iters=50))
     assert np.all(res.a_opt == 0)
 
 
@@ -175,7 +176,7 @@ def test_solve_iterates_nonnegative():
     bank = build_kernel_bank(make_scale_grid(1.5, 3))
     rng = np.random.default_rng(26)
     d_obs = rng.standard_normal((8, 8))
-    res = apg_solve(d_obs, bank, _cfg(0.05, (8, 8), max_iters=100))
+    res = apg_solve(d_obs, np.ones((8, 8)), bank, SolverConfig(lam=0.05, max_iters=100))
     assert np.all(res.a_opt >= 0)
 
 
@@ -184,8 +185,8 @@ def test_tiny_1x1x2_matches_grid_oracle():
     d_obs = np.array([[0.9]])
     w = np.array([[1.0]])
     lam = 0.2
-    cfg = SolverConfig(lam=lam, weights=w, momentum=BECK, max_iters=20000, rel_tol=1e-12)
-    res = apg_solve(d_obs, bank, cfg)
+    cfg = SolverConfig(lam=lam, momentum=BECK, max_iters=20000, rel_tol=1e-12)
+    res = apg_solve(d_obs, w, bank, cfg)
     solver_obj = naive_objective(res.a_opt, d_obs, w, bank, lam)
 
     def cost(x):
@@ -203,8 +204,8 @@ def test_tiny_4x4x1_matches_coordinate_oracle():
     d_obs = forward(a_true, bank)
     w = np.ones((4, 4))
     lam = 0.05
-    cfg = SolverConfig(lam=lam, weights=w, momentum=BECK, max_iters=20000, rel_tol=1e-12)
-    res = apg_solve(d_obs, bank, cfg)
+    cfg = SolverConfig(lam=lam, momentum=BECK, max_iters=20000, rel_tol=1e-12)
+    res = apg_solve(d_obs, w, bank, cfg)
     solver_obj = naive_objective(res.a_opt, d_obs, w, bank, lam)
 
     def cost(x):
@@ -221,10 +222,10 @@ def test_ista_monotone_objective():
     a_true[3, 3, 0] = 2.0
     a_true[7, 6, 1] = 1.5
     d_obs = forward(a_true, bank) + 0.01 * rng.standard_normal((10, 10))
-    cfg = _cfg(0.05, (10, 10), momentum=NO_MOMENTUM, max_iters=500)
+    w = np.ones((10, 10))
     objs = []
-    apg_solve(d_obs, bank, cfg,
-              progress=lambda i, rel, a: objs.append(objective(a, d_obs, cfg.weights, bank, 0.05)))
+    apg_solve(d_obs, w, bank, SolverConfig(lam=0.05, momentum=NO_MOMENTUM, max_iters=500),
+              progress=lambda i, rel, a: objs.append(objective(a, d_obs, w, bank, 0.05)))
     trace = np.array(objs)
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-12))
 
@@ -235,12 +236,13 @@ def test_converged_point_is_fixed():
     a_true[4, 4, 0] = 2.0
     d_obs = forward(a_true, bank)
     rel_tol = 1e-9
-    cfg = _cfg(0.05, (8, 8), max_iters=50000, rel_tol=rel_tol)
-    res = apg_solve(d_obs, bank, cfg)
+    w = np.ones((8, 8))
+    cfg = SolverConfig(lam=0.05, max_iters=50000, rel_tol=rel_tol)
+    res = apg_solve(d_obs, w, bank, cfg)
     # one more plain (alpha = 0) step barely moves the solution
     a = res.a_opt
-    eta = step_size(bank.grid.sigma_max_pixels, cfg.weights)
-    grad = adjoint(cfg.weights**2 * (forward(a, bank) - d_obs), bank)
+    eta = step_size(bank.grid.sigma_max_pixels, w)
+    grad = adjoint(w**2 * (forward(a, bank) - d_obs), bank)
     one_step = prox_group(np.maximum(a - eta * grad, 0.0), 0.5 * eta * cfg.lam)
     change = np.linalg.norm(one_step - a) / np.linalg.norm(a)
     assert change <= 10 * rel_tol
@@ -277,36 +279,36 @@ def test_lambda_monotone_sparsity():
     d_obs = forward(a_true, bank) + 0.02 * rng.standard_normal((12, 12))
     counts = []
     for lam in [0.02, 0.04, 0.08]:
-        res = apg_solve(d_obs, bank, _cfg(lam, (12, 12), max_iters=3000))
+        res = apg_solve(d_obs, np.ones((12, 12)), bank, SolverConfig(lam=lam, max_iters=3000))
         counts.append(int(np.sum(group_norm_image(res.a_opt) > 1e-9)))
     assert counts[0] >= counts[1] >= counts[2]
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(lam=-1.0, weights=np.ones((2, 2)))
+        SolverConfig(lam=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=0.0, weights=np.ones((2, 2)), momentum="bogus")
+        SolverConfig(lam=0.0, momentum="bogus")
     with pytest.raises(ValueError):
-        SolverConfig(lam=0.0, weights=np.ones((2, 2)), momentum=CHAMBOLLE,
+        SolverConfig(lam=0.0, momentum=CHAMBOLLE,
                      chambolle_a=2.0)
     with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(lam=0.0, weights=np.ones((2, 2)), max_iters=0)
+        SolverConfig(lam=0.0, max_iters=0)
     for bad in [dict(lam=np.nan), dict(rel_tol=np.nan),
                 dict(momentum=CHAMBOLLE, chambolle_a=np.nan)]:
         with pytest.raises(ValueError):
-            SolverConfig(**{"lam": 0.0, "weights": np.ones((2, 2)), **bad})
+            SolverConfig(**{"lam": 0.0, **bad})
     # A relative change below float64's epsilon may never come: 5e-324 is refused.
     with pytest.raises(ValueError, match="^rel_tol must be >= 2.22"):
-        SolverConfig(lam=0.0, weights=np.ones((2, 2)), rel_tol=5e-324)
-    SolverConfig(lam=0.0, weights=np.ones((2, 2)), rel_tol=np.finfo(np.float64).eps)
+        SolverConfig(lam=0.0, rel_tol=5e-324)
+    SolverConfig(lam=0.0, rel_tol=np.finfo(np.float64).eps)
 
 
 def test_progress_callback_called():
     bank = build_kernel_bank(make_scale_grid(1.0, 1))
     seen = []
     apg_solve(
-        np.ones((4, 4)), bank, _cfg(0.01, (4, 4), max_iters=5),
+        np.ones((4, 4)), np.ones((4, 4)), bank, SolverConfig(lam=0.01, max_iters=5),
         progress=lambda i, rel, a: seen.append(i),
     )
     assert seen == [1, 2, 3, 4, 5]
@@ -318,7 +320,7 @@ def test_progress_gets_accepted_iterate():
     a_true[4, 4, 0] = 2.0
     last = {}
     res = apg_solve(
-        forward(a_true, bank), bank, _cfg(0.05, (8, 8), max_iters=40),
+        forward(a_true, bank), np.ones((8, 8)), bank, SolverConfig(lam=0.05, max_iters=40),
         progress=lambda i, rel, a: last.update(i=i, a=a.copy()),
     )
     assert last["i"] == res.iterations
@@ -330,7 +332,7 @@ def test_solve_volume_layouts():
     rng = np.random.default_rng(30)
     d_obs = rng.uniform(0, 1, size=(9, 7))
     shapes = []
-    res = apg_solve(d_obs, bank, _cfg(0.05, (9, 7), max_iters=5),
+    res = apg_solve(d_obs, np.ones((9, 7)), bank, SolverConfig(lam=0.05, max_iters=5),
                     progress=lambda i, rel, a: shapes.append(a.shape))
     assert shapes == [(9, 7, 3)] * 5
     assert res.a_opt.shape == (9, 7, 3) and res.a_opt.flags.c_contiguous
@@ -352,8 +354,8 @@ def test_restart_reaches_ista_objective(seed, momentum):
     bank, d_obs, w, lam = _random_problem(seed)
     objs = []
     for scheme in [momentum, NO_MOMENTUM]:
-        cfg = SolverConfig(lam=lam, weights=w, momentum=scheme, max_iters=20000, rel_tol=1e-10)
-        res = apg_solve(d_obs, bank, cfg)
+        cfg = SolverConfig(lam=lam, momentum=scheme, max_iters=20000, rel_tol=1e-10)
+        res = apg_solve(d_obs, w, bank, cfg)
         assert res.iterations < cfg.max_iters
         objs.append(objective(res.a_opt, d_obs, w, bank, lam))
     assert objs[0] == pytest.approx(objs[1], rel=1e-8)
@@ -365,8 +367,8 @@ def test_solve_matches_textbook_fista(seed, momentum):
     # The loop carries step = b - a, takes ||a|| from the shrink and tests
     # restart from ||diff||^2; the oracle forms b and every norm directly.
     bank, d_obs, w, lam = _random_problem(40 + seed, shape=(14, 12), depth=3)
-    cfg = SolverConfig(lam=lam, weights=w, momentum=momentum, max_iters=500, rel_tol=1e-8)
-    res = apg_solve(d_obs, bank, cfg)
+    cfg = SolverConfig(lam=lam, momentum=momentum, max_iters=500, rel_tol=1e-8)
+    res = apg_solve(d_obs, w, bank, cfg)
     eta = step_size(bank.grid.sigma_max_pixels, w)
     a, iterations, restarts, objectives = reference_fista(
         d_obs, bank, w, lam, eta, momentum, cfg.max_iters, cfg.rel_tol)
@@ -386,7 +388,7 @@ def test_restart_starts_the_momentum_again(monkeypatch, momentum):
 
     monkeypatch.setattr(solver, "momentum_alpha", recorded)
     bank, d_obs, w, lam = _random_problem(7, shape=(16, 16))
-    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, momentum=momentum))
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, momentum=momentum))
     assert res.restarts > 0
     assert len(calls) == res.iterations
     assert calls.count((1, None)) == res.restarts + 1
@@ -394,8 +396,7 @@ def test_restart_starts_the_momentum_again(monkeypatch, momentum):
 
 def test_no_momentum_never_restarts():
     bank, d_obs, w, lam = _random_problem(8)
-    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, momentum=NO_MOMENTUM,
-                                              max_iters=300))
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, momentum=NO_MOMENTUM, max_iters=300))
     assert res.restarts == 0
 
 
@@ -405,7 +406,7 @@ def test_objectives_match_objective_of_each_iterate():
     bank, d_obs, w, lam = _random_problem(14)
     want = []
     res = apg_solve(
-        d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=200),
+        d_obs, w, bank, SolverConfig(lam=lam, max_iters=200),
         progress=lambda i, rel, a: want.append(objective(a, d_obs, w, bank, lam)),
     )
     assert res.restarts > 0
@@ -417,7 +418,7 @@ def test_objectives_match_objective_of_each_iterate():
 def test_progress_arrays_are_never_written():
     bank, d_obs, w, lam = _random_problem(12)
     seen = []
-    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=300),
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, max_iters=300),
                     progress=lambda i, rel, a: seen.append((a, a.copy())))
     assert res.restarts > 0
     for handed, snapshot in seen:
@@ -438,7 +439,7 @@ def test_one_forward_per_iteration(monkeypatch):
     monkeypatch.setattr(solver, "forward", counted("forward", forward))
     monkeypatch.setattr(solver, "adjoint", counted("adjoint", adjoint))
     bank, d_obs, w, lam = _random_problem(10)
-    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=60))
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, max_iters=60))
     assert calls == {"forward": res.iterations, "adjoint": res.iterations}
 
 
@@ -447,10 +448,11 @@ def test_peak_memory_at_most_six_volumes():
     rng = np.random.default_rng(11)
     a_true = np.where(rng.uniform(size=(128, 128, 4)) < 0.002, 2.0, 0.0)
     d_obs = forward(a_true, bank)
-    cfg = SolverConfig(lam=0.05, weights=np.ones(d_obs.shape), max_iters=20)
+    w = np.ones(d_obs.shape)
+    cfg = SolverConfig(lam=0.05, max_iters=20)
     tracemalloc.start()
     try:
-        apg_solve(d_obs, bank, cfg)
+        apg_solve(d_obs, w, bank, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,7 +467,7 @@ def test_diverging_solve_raises_divergence_whoever_calls():
     d_obs = np.random.default_rng(0).random((8, 8))
     bank = build_kernel_bank(make_scale_grid(0.4, 8))
     with pytest.raises(FloatingPointError, match="^divergence: float64 overflow at iteration "):
-        apg_solve(d_obs, bank, SolverConfig(lam=0.0, weights=np.ones((8, 8))))
+        apg_solve(d_obs, np.ones((8, 8)), bank, SolverConfig(lam=0.0))
 
 
 def test_one_plan_per_solve(monkeypatch):
@@ -480,6 +482,6 @@ def test_one_plan_per_solve(monkeypatch):
     bank, d_obs, w, lam = _random_problem(10)
     monkeypatch.setattr(solver, "make_plan", counted)
     monkeypatch.setattr(convolution, "make_plan", counted)
-    res = apg_solve(d_obs, bank, SolverConfig(lam=lam, weights=w, max_iters=60))
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, max_iters=60))
     assert res.iterations > 1
     assert calls == [d_obs.shape]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spotdeconv import synth
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.synth import SceneSpec, generate_scene, render_observation
 from spotdeconv.convolution import forward
@@ -120,6 +121,57 @@ def test_infeasible_placement_matches_scalar_loop():
     with pytest.raises(RuntimeError) as got:
         generate_scene(spec)
     assert str(got.value) == str(want.value)
+
+
+# Pixel distances among them: the ties hypot(3, 3) and 5 = hypot(3, 4), which
+# the placement must accept, as it must refuse anything closer.
+SEPARATIONS = [1.0, np.sqrt(2), 1.5, 2.0, 3.0, np.hypot(3, 3), 4.5, 5.0, 6.0, 9.0, 18.0, 25.0,
+               1e6]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), n_sources=st.integers(0, 14),
+       min_separation=st.sampled_from(SEPARATIONS), seed=st.integers(0, 99))
+def test_placement_matches_scalar_loop_on_random_specs(rows, cols, n_sources, min_separation,
+                                                       seed):
+    try:
+        spec = _spec(rows=rows, cols=cols, n_sources=n_sources, min_separation=min_separation,
+                     seed=seed)
+    except ValueError:
+        return  # SceneSpec refuses it at load
+    try:
+        want_a, want_gt = _scalar_placement_scene(spec)
+    except RuntimeError as want:
+        with pytest.raises(RuntimeError) as got:
+            generate_scene(spec)
+        assert str(got.value) == str(want)
+        return
+    a, gt = generate_scene(spec)
+    assert a.tobytes() == want_a.tobytes()
+    assert gt == want_gt
+
+
+def test_infeasible_placement_stops_when_no_room_is_left(monkeypatch):
+    # No 3 pixels of 16^2 lie 18 apart. Once a placement leaves too little room
+    # for the sources left, the error comes at once, not after the 10,000
+    # attempts (20,000 draws) of the retry cap.
+    draws = []
+    default_rng = np.random.default_rng
+
+    class CountedRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def integers(self, *args):
+            draws.append(args)
+            return self._rng.integers(*args)
+
+    monkeypatch.setattr(synth.np.random, "default_rng", CountedRng)
+    for seed in range(10):
+        draws.clear()
+        with pytest.raises(RuntimeError, match="could not place 3 sources"):
+            generate_scene(_spec(rows=16, cols=16, n_sources=3, min_separation=18.0, seed=seed))
+        assert 0 < len(draws) <= 20
 
 
 def test_render_noise_free():

@@ -29,6 +29,8 @@ def test_validators():
         as_image(np.ones(3))
     with pytest.raises(ValueError):
         as_volume(np.full((2, 2, 2), np.inf))
+    with pytest.raises(ValueError, match=r"^volume must be 3-D .* got shape \(2, 2\)$"):
+        as_volume(np.ones((2, 2)))
 
 
 def test_require_raises_bound_error():
