@@ -41,7 +41,6 @@ class RunConfig(SolverConfig):
     truncation: float
     weights_uniform: Optional[float]
     weights_file: Optional[str]
-    seed: int
     scene: Optional[SceneSpec] = None
 
 
@@ -153,7 +152,7 @@ def _parse_config(raw):
         rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol),
         sigma_max_pixels=grid.sigma_max_pixels, num_scales=grid.num_bins, truncation=truncation,
         weights_uniform=None if "file" in weights else _number(weights, "uniform", scope="weights"),
-        weights_file=weights.get("file"), seed=seed, scene=scene)
+        weights_file=weights.get("file"), scene=scene)
 
 
 def _kernel_bank(cfg):

@@ -21,7 +21,7 @@ from .detection import Detection
 MAGIC = b"SPTD"
 VERSION = 1
 
-DETECTIONS_HEADER = ["row", "col", "pseudo_likelihood"]
+DETECTIONS_HEADER = list(Detection._fields)
 GROUND_TRUTH_HEADER = ["row", "col"]
 TRACE_HEADER = ["iteration", "objective"]
 SWEEP_HEADER = ["threshold", "TP", "FP", "FN", "precision", "recall", "f1"]

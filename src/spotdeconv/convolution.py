@@ -26,12 +26,12 @@ the volume in place when it is the (M, N, K) view v.transpose(1, 2, 0)
 of a C-order (K, M, N) array v, as the solver's volumes are; any other
 layout costs one gather.
 
-make_plan() builds the bands, their blocks and the workspace views, which
-depend only on the bank and (M, N), once: a Plan of (band block, input,
-output) triples over one workspace of K * M * N float64; no band state
-outlives it. Both operators take it as `plan`; without one, a call makes
-its own over a fresh workspace. The solver makes one Plan per solve, so
-a call only slices its input and fresh output and runs the GEMMs.
+make_plan(bank, (M, N)) builds the bands, their blocks and the workspace
+views, which depend only on the bank and (M, N), once: a Plan of (band
+block, input, output) triples over its own K * M * N float64 workspace,
+Plan.workspace; no band state outlives it. Both operators take it as
+`plan`; without one, a call makes its own. The solver makes one Plan per
+solve, so a call only slices its input and fresh output and runs the GEMMs.
 
 A band holds its taps in order, which makes it a correlation; convolution
 is correlation with the reversed taps, the exact transpose, so adjoint()
@@ -86,31 +86,29 @@ class Plan(NamedTuple):
     whose views are fixed; the index slices the array the call supplies."""
 
     shape: tuple  # (K, M, N)
+    workspace: np.ndarray  # K * M * N float64; each operator call overwrites it
     forward_rows: tuple  # (band block, input index, workspace view) per row block
     forward_cols: tuple  # (band block, workspace view, index into out.T) per column block
     adjoint_rows: tuple  # (band block, input index, workspace view) per row block
     adjoint_cols: tuple  # (band block, workspace view, index into out.transpose(0, 2, 1))
 
 
-def make_plan(bank, shape, workspace=None):
+def make_plan(bank, shape):
     """The Plan of `bank` on an image of `shape` (M, N), its views laid over
-    `workspace` (any array of K * M * N float64, reshaped without a copy when
-    it is contiguous; a fresh one when None). The operators overwrite the
-    workspace, so it must not overlap their input; its contents never reach
-    their results."""
+    a fresh workspace. The operators overwrite it, so it must not hold their
+    input; its contents never reach their results."""
     m, n = shape
     depth = bank.num_kernels
     radius, corr, conv, interleaved = _bands(bank, max(m, n))
-    buf = np.empty(depth * m * n) if workspace is None else workspace
-    if buf.dtype != np.float64:  # GEMMs would round into it without a word
-        raise ValueError(f"workspace dtype {buf.dtype}, not float64")
-    rows_done = buf.reshape(n, depth, m)  # forward's interleaved (N, K, M) layout
+    workspace = np.empty(depth * m * n)
+    rows_done = workspace.reshape(n, depth, m)  # forward's interleaved (N, K, M) layout
     slices_done = rows_done.transpose(1, 2, 0)  # its (K, M, N) view
     stacked = rows_done.reshape(n * depth, m)
-    cols_first = buf.reshape(depth, n, m)  # adjoint's (K, N, M) layout
+    cols_first = workspace.reshape(depth, n, m)  # adjoint's (K, N, M) layout
     row_blocks, col_blocks = tuple(_blocks(m, radius)), tuple(_blocks(n, radius))
     return Plan(
         shape=(depth, m, n),
+        workspace=workspace,
         forward_rows=tuple((conv[:, :b, c0:c1], (slice(None), src), slices_done[:, rows])
                            for rows, src, b, c0, c1 in row_blocks),
         forward_cols=tuple((interleaved[:b, c0 * depth : c1 * depth],

@@ -23,12 +23,10 @@ because forward() and adjoint() batch their GEMMs over contiguous scale
 slices: it hands forward() the (M, N, K) view a.transpose(1, 2, 0), whose
 slices need no copy, and takes adjoint()'s (K, M, N) buffer as the next
 iterate. The shrink then sums K contiguous planes. Four volumes are alive
-in the loop: a, a_new (adjoint()'s fresh buffer), step and diff (both
-allocated once and refilled in place). diff doubles as the workspace of
-both operator calls, where it is free: adjoint() runs before diff is
-refilled, forward() after step has consumed it. The solve makes one
-convolution Plan over diff and passes it to every call, so no call
-rebuilds its GEMM views. progress() sees (M, N, K) views, and a_opt is a
+in the loop: a, a_new (adjoint()'s fresh buffer), step and diff, both
+refilled in place. diff is a view of the workspace of the one convolution
+Plan that the solve makes and passes to every call, so no call rebuilds
+its GEMM views. progress() sees (M, N, K) views, and a_opt is a
 C-contiguous (M, N, K) copy made once per solve.
 
 The one other exit is overflow: a non-finite objective or relative change
@@ -182,8 +180,10 @@ def apg_solve(d_obs, w, bank, cfg, progress: Optional[Callable] = None):
 
     a = np.zeros((bank.num_kernels, m, n))
     step = np.zeros_like(a)  # b - a; the loop writes it in place, never a
-    diff = np.empty_like(a)  # a_new - a, refilled each iteration; the operators' workspace
-    plan = make_plan(bank, (m, n), diff)
+    plan = make_plan(bank, (m, n))
+    # a_new - a, refilled each iteration. It shares the operators' workspace, which is
+    # free for it: adjoint() runs before diff is refilled, forward() after step used it.
+    diff = plan.workspace.reshape(a.shape)
     norm2_a = 0.0  # ||a||^2
     fa = fb = np.zeros((m, n))  # forward(a) of the zero start
     scale = -eta * np.square(w)  # the residual's factor in the gradient step

@@ -16,7 +16,7 @@ from .tensors import require
 
 GENERATOR_NAME = "numpy-pcg64"
 
-_PLACEMENT_RETRY_CAP = 10000
+_PLACEMENT_RETRY_CAP = 10000  # attempts, or one per pixel on a larger image
 
 
 def _packing_bound(rows, cols, sep):
@@ -69,8 +69,9 @@ def generate_scene(spec):
     """Place n_sources pixel-sparse groups; returns (a_true, ground_truth).
 
     Raises RuntimeError if the separation constraint cannot be met within
-    the retry cap; at once when a placement leaves too little room for the
-    sources left, so that every further draw would be refused or wasted.
+    max(10000, rows * cols) attempts; at once when a placement leaves too
+    little room for the sources left, so that every further draw would be
+    refused or wasted.
     """
     rng = np.random.default_rng(spec.seed)
     a_true = np.zeros((spec.rows, spec.cols, spec.depth))
@@ -82,8 +83,8 @@ def generate_scene(spec):
     stamp = np.hypot(dr, dc) >= spec.min_separation
     free = np.ones((spec.rows, spec.cols), dtype=bool)
     positions = []
-    attempts = 0
-    while len(positions) < spec.n_sources and attempts < _PLACEMENT_RETRY_CAP:
+    attempts, cap = 0, max(_PLACEMENT_RETRY_CAP, spec.rows * spec.cols)
+    while len(positions) < spec.n_sources and attempts < cap:
         attempts += 1
         r = int(rng.integers(0, spec.rows))
         c = int(rng.integers(0, spec.cols))
@@ -97,7 +98,7 @@ def generate_scene(spec):
     if len(positions) < spec.n_sources:
         raise RuntimeError(
             f"could not place {spec.n_sources} sources at separation "
-            f">= {spec.min_separation} within {_PLACEMENT_RETRY_CAP} attempts"
+            f">= {spec.min_separation} within {cap} attempts"
         )
 
     profile = None if spec.scale_profile is None else np.array(spec.scale_profile, float)

@@ -42,6 +42,49 @@ MUTANTS = [
     Mutant("src/spotdeconv/convolution.py",
            "if len(shape) != 3 or shape[0] != bank.num_kernels:", "if len(shape) != 3:",
            "tests/test_convolution.py::test_operators_refuse_mis_shaped_input"),
+    Mutant("src/spotdeconv/solver.py", "kappa = 0.5 * eta * cfg.lam",
+           "kappa = 0.5 * eta * cfg.lam * (1 + 1e-6)",
+           "tests/test_solver.py::test_solve_matches_textbook_fista"),
+    Mutant("src/spotdeconv/solver.py", "max(math.sqrt(norm2_a), 1e-12)",
+           "max(math.sqrt(norm2_a), 1e-6)",
+           "tests/test_properties.py::test_progress_rel_change_is_relative_step"),
+    Mutant("src/spotdeconv/solver.py", "if np.vdot(step, diff) - norm2_diff > 0:",
+           "if np.vdot(step, diff) - norm2_diff >= 0:",
+           "tests/test_solver.py::test_solve_zero_observation_fixed_point"),
+    Mutant("src/spotdeconv/solver.py", "restarts, start, mom_state = restarts + 1, i - 1, None",
+           "restarts, start = restarts + 1, i - 1",
+           "tests/test_solver.py::test_restart_starts_the_momentum_again"),
+    Mutant("src/spotdeconv/solver.py", "if rel_change <= cfg.rel_tol:",
+           "if rel_change < cfg.rel_tol:",
+           "tests/test_solver.py::test_stop_rule_includes_rel_tol"),
+    Mutant("src/spotdeconv/solver.py",
+           "objectives[-1] = float(fidelity + cfg.lam * np.sum(group_norm_image(a_opt)))",
+           "objectives[-1] = float(fidelity + cfg.lam * regularizer)",
+           "tests/test_solver.py::test_objectives_match_objective_of_each_iterate"),
+    Mutant("src/spotdeconv/solver.py", "diff = plan.workspace.reshape(a.shape)",
+           "diff = np.empty_like(a)",
+           "tests/test_solver.py::test_peak_memory_at_most_six_volumes"),
+    Mutant("src/spotdeconv/convolution.py",
+           "row[BLOCK - 1 + radius - r : BLOCK + radius + r] =",
+           "row[BLOCK + radius - r : BLOCK + 1 + radius + r] =",
+           "tests/test_acceptance.py::test_criterion_1_adjoint_identity"),
+    Mutant("src/spotdeconv/convolution.py", "min(i0 + b + radius, size)",
+           "min(i0 + b + radius - 1, size)",
+           "tests/test_acceptance.py::test_criterion_5_tiny_instance_optimality"),
+    Mutant("src/spotdeconv/detection.py", "& (p > 0.0)", "& (p >= 0.0)",
+           "tests/test_detection.py::test_zero_background_not_detected"),
+    Mutant("src/spotdeconv/detection.py", "spills = (_max3x3(padded) == p)[candidate]",
+           "spills = (_max3x3(padded) > p)[candidate]",
+           "tests/test_detection.py::test_plateau_split_by_greater_pixel_excluded"),
+    Mutant("src/spotdeconv/detection.py", "order = np.lexsort((col_c, row_c, -value))",
+           "order = np.lexsort((row_c, col_c, -value))",
+           "tests/test_detection.py::test_detect_tie_break_row_col"),
+    Mutant("src/spotdeconv/evaluation.py", "candidates[np.argmin(dist[candidates])]",
+           "candidates[::-1][np.argmin(dist[candidates][::-1])]",
+           "tests/test_evaluation.py::test_match_distance_tie_breaks_by_gt_index"),
+    Mutant("src/spotdeconv/evaluation.py", "unmatched & (dist <= tol)",
+           "unmatched & (dist < tol)",
+           "tests/test_evaluation.py::test_match_perfect"),
 ]
 
 

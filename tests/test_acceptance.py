@@ -47,12 +47,12 @@ def _demo_problem():
     bank = build_kernel_bank(make_scale_grid(cfg.sigma_max_pixels, cfg.num_scales), cfg.truncation)
     spec = SceneSpec(
         rows=64, cols=64, depth=4, n_sources=8, min_separation=18.0,
-        amplitude_lo=5.0, amplitude_hi=10.0, noise_sigma=0.0, seed=cfg.seed,
+        amplitude_lo=5.0, amplitude_hi=10.0, noise_sigma=0.0, seed=cfg.scene.seed,
     )
     a_true, gt = generate_scene(spec)
     clean = render_observation(a_true, bank, 0.0, 0)
     sigma = 0.01 * float(np.max(clean))
-    d_obs = render_observation(a_true, bank, sigma, cfg.seed + 1)
+    d_obs = render_observation(a_true, bank, sigma, cfg.scene.seed + 1)
     return cfg, bank, d_obs, gt
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -1118,8 +1119,20 @@ def test_demo_run_converges(tmp_path, capsys):
     # The CI summary line's counts, and the converged objective to 1e-9.
     assert (result.iterations, result.restarts) == (101, 4)
     assert result.objectives[-1] == pytest.approx(15.55658090434963, rel=1e-9)
-    assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(tmp_path / "pipe")]) == 0
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(DEMO_CONFIG), "--out-dir", str(out)]) == 0
     assert "not converged" not in capsys.readouterr().out
+    # What CI's grep of the summary line checks, and the report behind it.
+    assert len(codec.read_detections_csv(out / "detections.csv")) == 408
+    report = json.loads((out / "report.json").read_text())
+    assert (report["TP"], report["FP"], report["FN"]) == (8, 0, 0)
+    assert report["threshold"] == pytest.approx(0.25358743563358777, rel=1e-9)
+    # The scene comes from PCG64 alone, so its bytes are the same on every host.
+    # d_obs.f64t is not pinned: its kernel taps come from libm's erf, its sums from BLAS.
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("a_true.f64t", "gt.csv")} == {
+        "a_true.f64t": "b76625df1fa0ac754bd093610314e7a0c99edd4abd7c33f83705aa7d460dc892",
+        "gt.csv": "cf5c638a0a212b5c29f621f216ab1d4640a30a9b34e92107e9f5001490b80ee1"}
 
 
 def test_pipeline_too_large_scene_exit_code(tmp_path, capsys):

@@ -32,9 +32,10 @@ def test_match_empty_detections():
 
 
 def test_match_perfect():
-    dets = [_det(r, c, 0.5) for r, c in MIXED_GT]
-    tp, fp, fn, _ = match(dets, MIXED_GT, tol=3.0)
-    assert (tp, fp, fn) == (2, 0, 0)
+    # The last detection lies exactly tol from its source: a hit.
+    dets = [_det(r, c, 0.5) for r, c in MIXED_GT] + [_det(0, 20, 0.5)]
+    tp, fp, fn, _ = match(dets, MIXED_GT + [(3.0, 20.0)], tol=3.0)
+    assert (tp, fp, fn) == (3, 0, 0)
 
 
 def test_match_nearest_unmatched_preference():

@@ -251,8 +251,8 @@ def test_forward_adjoint_inner_product(rows, cols, radii, seed):
         want = ndimage_conv2d(r, f.taps, correlate=True)
         assert np.max(np.abs(ar[:, :, k] - want)) <= 1e-12 * mass[k] * np.max(np.abs(r))
     # Whatever the plan's workspace holds on entry never reaches the result.
-    workspace = np.full(a.size, np.nan)
-    plan = make_plan(bank, (rows, cols), workspace)
+    plan = make_plan(bank, (rows, cols))
+    plan.workspace.fill(np.nan)
     np.testing.assert_array_equal(forward(a, bank, plan=plan), fa)
-    workspace.fill(np.nan)
+    plan.workspace.fill(np.nan)
     np.testing.assert_array_equal(adjoint(r, bank, plan=plan), ar)

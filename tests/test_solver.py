@@ -160,6 +160,7 @@ def test_solve_zero_observation_fixed_point():
     bank = build_kernel_bank(make_scale_grid(1.0, 2))
     res = apg_solve(np.zeros((6, 6)), np.ones((6, 6)), bank, SolverConfig(lam=0.1))
     assert res.iterations == 1
+    assert res.restarts == 0  # <b - a_new, diff> is 0 here, which is no restart
     assert np.all(res.a_opt == 0)
 
 
@@ -398,6 +399,18 @@ def test_no_momentum_never_restarts():
     bank, d_obs, w, lam = _random_problem(8)
     res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, momentum=NO_MOMENTUM, max_iters=300))
     assert res.restarts == 0
+
+
+def test_stop_rule_includes_rel_tol():
+    # The solve stops at the first iteration whose relative change is at most
+    # rel_tol: a change equal to rel_tol stops it.
+    bank, d_obs, w, lam = _random_problem(3, shape=(10, 10))
+    seen = []
+    apg_solve(d_obs, w, bank, SolverConfig(lam=lam, max_iters=3),
+              progress=lambda i, rel, a: seen.append(rel))
+    assert seen[0] > seen[2] and seen[1] > seen[2]
+    res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, rel_tol=seen[2]))
+    assert (res.iterations, res.converged, res.final_rel_change) == (3, True, seen[2])
 
 
 def test_objectives_match_objective_of_each_iterate():

@@ -123,6 +123,15 @@ def test_infeasible_placement_matches_scalar_loop():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_placement_at_workload_density_on_512_squared(seed):
+    # One source per 512 px at separation 18 needs ~8,600-10,800 draws at
+    # 512^2: past 10,000 attempts, so the cap grows with the image.
+    a, gt = generate_scene(_spec(rows=512, cols=512, n_sources=512, min_separation=18.0,
+                                 seed=seed))
+    assert len(gt) == 512 and np.count_nonzero(a) == 512
+
+
 # Pixel distances among them: the ties hypot(3, 3) and 5 = hypot(3, 4), which
 # the placement must accept, as it must refuse anything closer.
 SEPARATIONS = [1.0, np.sqrt(2), 1.5, 2.0, 3.0, np.hypot(3, 3), 4.5, 5.0, 6.0, 9.0, 18.0, 25.0,
