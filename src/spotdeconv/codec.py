@@ -13,6 +13,7 @@ the threshold sweep are outputs only.
 import csv
 import math
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -77,10 +78,11 @@ def write_table(path, header, rows):
     """Write a headed CSV table, the mirror of _read_table: each value, a Python
     or numpy int or float, as its str, the shortest string that reads back
     bit-exactly. Lines end in CRLF, as the csv module writes them; no number
-    needs quoting. The table is formatted as one string and written once; %s
-    is str, where numpy 2's repr would write np.float64(...)."""
+    needs quoting. The table is formatted by one % over the flattened rows and
+    written once; %s is str, where numpy 2's repr would write np.float64(...)."""
+    values = tuple(chain.from_iterable(rows))
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    text = "".join([",".join(header) + "\r\n"] + [line % tuple(row) for row in rows])
+    text = ",".join(header) + "\r\n" + (line * (len(values) // len(header))) % values
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -16,6 +16,7 @@ bincount. The map must be finite: detect() rejects a volume whose group
 norms overflow.
 """
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -112,8 +113,9 @@ def regional_maxima(p):
 
     row_c, col_c, value = row_c[keep], col_c[keep], value[keep]
     order = np.lexsort((col_c, row_c, -value))
-    return list(map(Detection._make, zip(row_c[order].tolist(), col_c[order].tolist(),
-                                         value[order].tolist())))
+    # tuple.__new__ builds each row in C, without _make's Python frame per row.
+    return list(map(tuple.__new__, repeat(Detection), zip(
+        row_c[order].tolist(), col_c[order].tolist(), value[order].tolist())))
 
 
 def detect(a):

@@ -23,6 +23,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     test: str  # a pytest node id that fails under the mutant
+    id: str = None  # the case's id in tests/test_mutants.py; by default the test's name
 
 
 MUTANTS = [
@@ -85,6 +86,16 @@ MUTANTS = [
     Mutant("src/spotdeconv/evaluation.py", "unmatched & (dist <= tol)",
            "unmatched & (dist < tol)",
            "tests/test_evaluation.py::test_match_perfect"),
+    Mutant("src/spotdeconv/evaluation.py", "near[det[dist <= tol]] = True",
+           "near[det[dist < tol]] = True",
+           "tests/test_evaluation.py::test_match_perfect", id="near_source_within_tol"),
+    Mutant("src/spotdeconv/evaluation.py", "reach = 2 * tol", "reach = tol",
+           "tests/test_evaluation.py::test_match_when_only_the_rounded_distance_is_within_tol"),
+    Mutant("src/spotdeconv/evaluation.py", "out=np.zeros(np.shape(den)), where=den > 0)",
+           "out=np.zeros(np.shape(den)))",
+           "tests/test_evaluation.py::test_prf1_is_elementwise_over_arrays"),
+    Mutant("src/spotdeconv/evaluation.py", "PAIR_CHUNK = 1 << 16", "PAIR_CHUNK = 1 << 40",
+           "tests/test_evaluation.py::test_pre_filter_memory_does_not_grow_with_the_pairs"),
 ]
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spotdeconv import evaluation
 from spotdeconv.detection import Detection
 from spotdeconv.evaluation import (
     best_threshold,
@@ -38,6 +41,40 @@ def test_match_perfect():
     assert (tp, fp, fn) == (3, 0, 0)
 
 
+def test_match_when_only_the_rounded_distance_is_within_tol():
+    # 2**-53 - (1 + 2**-52) rounds to -1.0, so the loop's test passes at tol
+    # 1.0, though 2**-53 + 1.0 rounds to 1.0, below the source's row.
+    dets = [_det(2.0**-53, 0, 0.5)]
+    assert match(dets, [(1.0 + 2.0**-52, 0.0)], tol=1.0)[:3] == (1, 0, 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_pre_filter_chunks_keep_the_sweep(monkeypatch, chunk):
+    rng = np.random.default_rng(55)
+    dets = [_det(rng.uniform(0, 30), rng.uniform(0, 30), rng.choice([0.2, 0.5, 0.9]))
+            for _ in range(60)]
+    gt = [(rng.uniform(0, 30), rng.uniform(0, 30)) for _ in range(12)]
+    want = threshold_sweep(dets, gt)
+    assert want[-1].tp > 3
+    monkeypatch.setattr(evaluation, "PAIR_CHUNK", chunk)
+    assert threshold_sweep(dets, gt) == want
+
+
+def test_pre_filter_memory_does_not_grow_with_the_pairs():
+    # 4,000 detections and 1,000 sources on one row: all 4,000,000 pairs are
+    # candidates (~32 MB per float64 pass over them), none lies within tol.
+    dets = [_det(0, 10 * i, 0.5) for i in range(4000)]
+    gt = [(0.0, 10.0 * i + 5.0) for i in range(1000)]
+    tracemalloc.start()
+    try:
+        sweep = threshold_sweep(dets, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sweep[-1].tp, sweep[-1].fp) == (0, 4000)
+    assert peak < 8 * 2**20
+
+
 def test_match_nearest_unmatched_preference():
     # higher-likelihood detection grabs the nearest gt; the second detection
     # must settle for the remaining one
@@ -59,6 +96,13 @@ def test_prf1_examples():
     assert prf1(2, 1, 1) == pytest.approx((2 / 3, 2 / 3, 2 / 3))
     assert prf1(0, 0, 0) == (0.0, 0.0, 0.0)
     assert prf1(1, 2, 1) == pytest.approx((1 / 3, 1 / 2, 0.4))
+
+
+def test_prf1_is_elementwise_over_arrays():
+    # Each zero denominator gives 0.0; the rest follow the scalar formulas.
+    tp, fp, fn = np.array([0, 0, 0, 2]), np.array([0, 3, 0, 1]), np.array([0, 0, 4, 1])
+    f1 = 2.0 * (2 / 3) * (2 / 3) / (2 / 3 + 2 / 3)
+    assert prf1(tp, fp, fn) == ([0.0, 0.0, 0.0, 2 / 3], [0.0, 0.0, 0.0, 2 / 3], [0.0, 0.0, 0.0, f1])
 
 
 def test_best_threshold_mixed_example():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -136,6 +137,40 @@ def test_one_pass_sweep_equals_reference(dets, gt, tol):
 @settings(max_examples=300)
 @given(detections, ground_truth, tolerance)
 def test_match_equals_reference_in_scoring_order(dets, gt, tol):
+    order = sorted(range(len(dets)), key=lambda i: (
+        -dets[i].pseudo_likelihood, dets[i].row, dets[i].col))
+    tp, fp, fn, pairing = reference_match([dets[i] for i in order], gt, tol)
+    assert match(dets, gt, tol) == (
+        tp, fp, fn, {order[k]: gi for k, gi in pairing.items()})
+
+
+# Off-grid and negative coordinates over +-100 px, a small pool that makes
+# duplicate positions common, and a few far ones: only some detections lie
+# within tol of a source, so the near-source pre-filter decides the rest.
+spread = st.one_of(
+    st.floats(min_value=-100, max_value=100),
+    st.sampled_from([-3.5, -0.0, 0.25, 2.0, 5.0, 7.75]),
+    st.sampled_from([1e17, 1e300, -1e300]),
+)
+spread_detections = st.lists(
+    st.builds(Detection, row=spread, col=spread,
+              pseudo_likelihood=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    max_size=16,
+)
+spread_ground_truth = st.lists(st.tuples(spread, spread), max_size=8)
+spread_tolerance = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, 3.0, 1e300])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300)
+@given(spread_detections, spread_ground_truth, spread_tolerance)
+# The distance 1 + 2**-53 rounds to tol, while row + tol rounds below the source.
+@example([Detection(2.0**-53, 0.0, 1.0)], [(1.0 + 2.0**-52, 0.0)], 1.0)
+# 2 * tol overflows: the row window's edges are infinite, so the loop decides.
+@example([Detection(1.7e308, 0.0, 1.0)], [(1.75e308, 0.0)], 1e308)
+def test_sweep_and_match_equal_reference_off_grid(dets, gt, tol):
+    assert [(r.threshold, r.tp, r.fp, r.fn) for r in threshold_sweep(dets, gt, tol)] == \
+        reference_threshold_sweep(dets, gt, tol)
     order = sorted(range(len(dets)), key=lambda i: (
         -dets[i].pseudo_likelihood, dets[i].row, dets[i].col))
     tp, fp, fn, pairing = reference_match([dets[i] for i in order], gt, tol)
