@@ -67,8 +67,11 @@ def _near_source(rows, cols, gt_row, gt_col, tol):
     todo = np.flatnonzero(placed & (width > 0))
     lo, width = lo[todo], width[todo]
     first = np.cumsum(width) - width  # each detection's first pair in the whole list
-    cuts = np.unique(np.searchsorted(first, np.arange(0, width.sum(), PAIR_CHUNK)))
-    for a, b in zip(cuts.tolist(), cuts[1:].tolist() + [len(todo)]):
+    # Each chunk starts at the first detection whose pairs start at or after a
+    # multiple of PAIR_CHUNK; a span that straddles one stays in the chunk before.
+    starts = np.searchsorted(first, np.arange(PAIR_CHUNK, width.sum(), PAIR_CHUNK))
+    bounds = np.unique(np.r_[0, starts, len(todo)]).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
         det = np.repeat(todo[a:b], width[a:b])
         src = by_row[np.arange(first[a], first[b - 1] + width[b - 1])
                      - np.repeat(first[a:b] - lo[a:b], width[a:b])]

@@ -60,6 +60,17 @@ def test_pre_filter_chunks_keep_the_sweep(monkeypatch, chunk):
     assert threshold_sweep(dets, gt) == want
 
 
+def test_pre_filter_chunk_boundary_inside_the_last_window(monkeypatch):
+    # 66 detections and 1,000 sources on one row: the last detection's pairs
+    # [65,000, 66,000) straddle the chunk boundary at 65,536.
+    dets = [_det(0, 10 * i, 0.5) for i in range(66)]
+    gt = [(0.0, 10.0 * i + 5.0) for i in range(1000)]
+    assert threshold_sweep(dets, gt)[-1][1:4] == (0, 66, 1000)
+    # One pair per chunk: the boundary falls inside the only detection's two pairs.
+    monkeypatch.setattr(evaluation, "PAIR_CHUNK", 1)
+    assert match([_det(0, 0, 0.5)], [(0.0, 1.0), (0.0, 2.0)], tol=3.0)[:3] == (1, 0, 1)
+
+
 def test_pre_filter_memory_does_not_grow_with_the_pairs():
     # 4,000 detections and 1,000 sources on one row: all 4,000,000 pairs are
     # candidates (~32 MB per float64 pass over them), none lies within tol.
