@@ -11,11 +11,13 @@ appends detections, and earlier matches never change. So the whole sweep is
 one matching pass, whose running TP count gives a report at the last
 detection of each run of equal p.
 
-A detection with no ground-truth point within tol can take none, so only
-the detections within tol of a source enter the greedy loop, found by a
-search over the sources sorted by row; every other one is a false positive
-at its place in the order. So the loop's cost follows the detections near a
-source, not the detection count.
+A detection can take only a ground-truth point within tol, so detections
+are matched through the (detection, source) pairs within tol: the sources
+in each detection's row window, found by a search over the sources sorted
+by row, each pair tested once. The greedy loop walks only those pairs, a
+detection with none is a false positive at its place in the order, and the
+pass stops once every source is taken. So its cost follows the detections
+near a source, not the detection count.
 """
 
 from itertools import chain, repeat
@@ -41,55 +43,29 @@ class EvalReport(NamedTuple):
 PAIR_CHUNK = 1 << 16  # candidate (detection, source) pairs tested at once
 
 
-def _near_source(rows, cols, gt_row, gt_col, tol):
-    """Mask of the detections the greedy loop must visit: each one with a
-    ground-truth point within tol by the loop's own test, and each one the
-    row search cannot place (a non-finite row window edge).
-
-    A detection's candidates are the sources in the row window
-    [row - 2 tol, row + 2 tol], found in the sources sorted by row. The loop's
-    test, hypot(row - gt_row, ...) <= tol, passes only where the exact
-    |row - gt_row| <= tol (1 + 2**-52) (hypot is never below either leg), and
-    rounding is monotone, so the computed window holds every source that can
-    pass. Each candidate pair then takes the loop's test itself. The
-    pairs are tested PAIR_CHUNK at a time (more only for one detection whose
-    window alone holds more), so memory stays O(D + G + PAIR_CHUNK).
-    """
-    by_row = np.argsort(gt_row, kind="stable")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan edges go to the loop
-        reach = 2 * tol
-        lo_edge, hi_edge = rows - reach, rows + reach
-    placed = np.isfinite(lo_edge) & np.isfinite(hi_edge)
-    sorted_row = gt_row[by_row]
-    lo = np.searchsorted(sorted_row, lo_edge, side="left")
-    width = np.searchsorted(sorted_row, hi_edge, side="right") - lo
-    near = ~placed
-    todo = np.flatnonzero(placed & (width > 0))
-    lo, width = lo[todo], width[todo]
-    first = np.cumsum(width) - width  # each detection's first pair in the whole list
-    # Each chunk starts at the first detection whose pairs start at or after a
-    # multiple of PAIR_CHUNK; a span that straddles one stays in the chunk before.
-    starts = np.searchsorted(first, np.arange(PAIR_CHUNK, width.sum(), PAIR_CHUNK))
-    bounds = np.unique(np.r_[0, starts, len(todo)]).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        det = np.repeat(todo[a:b], width[a:b])
-        src = by_row[np.arange(first[a], first[b - 1] + width[b - 1])
-                     - np.repeat(first[a:b] - lo[a:b], width[a:b])]
-        with np.errstate(over="ignore"):  # an overflowing distance is inf, as in the loop
-            dist = np.hypot(rows[det] - gt_row[src], cols[det] - gt_col[src])
-        near[det[dist <= tol]] = True
-    return near
-
-
 def _greedy_pass(dets, gt, tol):
     """Match detections in (-p, row, col) order; returns (order, p, took):
     the detection indices into the caller's list in that order, their p, and
-    for each the ground-truth index it took, or -1.
+    a dict from each matching position in that order, ascending, to the
+    ground-truth index it took.
 
-    Each detection takes the nearest unmatched ground-truth point within
-    tol; distance ties go to the lower ground-truth index. A distance that
-    overflows float64 is inf, beyond any finite tol. Only the detections
-    _near_source marks enter the loop; no other one can take a point.
+    Each detection takes the nearest untaken ground-truth point within tol;
+    distance ties go to the lower ground-truth index. A distance that
+    overflows float64 is inf, beyond any finite tol.
+
+    A detection's candidates are the sources in the row window
+    [row - 2 tol, row + 2 tol], found in the sources sorted by row, or every
+    source where an edge of that window is not finite. The test
+    hypot(row - gt_row, ...) <= tol passes only where the exact
+    |row - gt_row| <= tol (1 + 2**-52) (hypot is never below either leg), and
+    rounding is monotone, so the window holds every source that can pass.
+    Each candidate pair takes that test once, PAIR_CHUNK pairs at a time
+    (more only for one detection whose window alone holds more), so memory
+    stays O(D + G + PAIR_CHUNK). The pairs that pass, ordered by (detection,
+    distance, source), are walked in plain Python: a detection takes its
+    first pair whose source is still free. Chunks cover the detections in
+    order and never split one's pairs, so the walk goes chunk by chunk, and
+    it stops once every source is taken.
     """
     # The Detection rows (row, col, p); fromiter is ~5x faster than asarray on tuples.
     dets = np.fromiter(chain.from_iterable(dets), np.float64).reshape(-1, 3)
@@ -97,16 +73,37 @@ def _greedy_pass(dets, gt, tol):
     order = np.lexsort((np.signbit(dets[:, 2]), dets[:, 1], dets[:, 0], -dets[:, 2]))
     rows, cols, p = dets[order].T
     gt_row, gt_col = np.asarray(gt, dtype=np.float64).reshape(-1, 2).T
-    unmatched = np.ones(len(gt_row), dtype=bool)
-    took = np.full(len(order), -1)
-    visit = np.flatnonzero(_near_source(rows, cols, gt_row, gt_col, tol))
-    with np.errstate(over="ignore"):
-        for k, row, col in zip(visit.tolist(), rows[visit].tolist(), cols[visit].tolist()):
-            dist = np.hypot(row - gt_row, col - gt_col)
-            candidates = np.flatnonzero(unmatched & (dist <= tol))
-            if len(candidates):
-                took[k] = best = candidates[np.argmin(dist[candidates])]
-                unmatched[best] = False
+    by_row = np.argsort(gt_row, kind="stable")
+    sorted_row = gt_row[by_row]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan edges take every source
+        reach = 2 * tol
+        lo_edge, hi_edge = rows - reach, rows + reach
+    placed = np.isfinite(lo_edge) & np.isfinite(hi_edge)
+    lo = np.where(placed, np.searchsorted(sorted_row, lo_edge, side="left"), 0)
+    hi = np.where(placed, np.searchsorted(sorted_row, hi_edge, side="right"), len(gt_row))
+    todo = np.flatnonzero(hi > lo)
+    lo, width = lo[todo], hi[todo] - lo[todo]
+    first = np.cumsum(width) - width  # each detection's first pair in the whole list
+    # Each chunk starts at the first detection whose pairs start at or after a
+    # multiple of PAIR_CHUNK; a span that straddles one stays in the chunk before.
+    starts = np.searchsorted(first, np.arange(PAIR_CHUNK, width.sum(), PAIR_CHUNK))
+    bounds = np.unique(np.r_[0, starts, len(todo)]).tolist()
+    took, taken = {}, set()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if len(taken) == len(gt_row):
+            break  # no later pair can match
+        det = np.repeat(todo[a:b], width[a:b])
+        src = by_row[np.arange(first[a], first[b - 1] + width[b - 1])
+                     - np.repeat(first[a:b] - lo[a:b], width[a:b])]
+        with np.errstate(over="ignore"):  # an overflowing distance is inf
+            dist = np.hypot(rows[det] - gt_row[src], cols[det] - gt_col[src])
+        keep = dist <= tol
+        det, src, dist = det[keep], src[keep], dist[keep]
+        walk = np.lexsort((src, dist, det))
+        for k, g in zip(det[walk].tolist(), src[walk].tolist()):
+            if k not in took and g not in taken:
+                took[k] = g
+                taken.add(g)
     return order, p, took
 
 
@@ -117,8 +114,7 @@ def match(dets, gt, tol=DEFAULT_TOL):
     index for each true positive.
     """
     order, _, took = _greedy_pass(dets, gt, tol)
-    hit = took >= 0
-    pairing = dict(zip(order[hit].tolist(), took[hit].tolist()))
+    pairing = dict(zip(order[list(took)].tolist(), took.values()))
     tp = len(pairing)
     return tp, len(dets) - tp, len(gt) - tp, pairing
 
@@ -148,7 +144,7 @@ def threshold_sweep(dets, gt, tol=DEFAULT_TOL):
     in descending threshold order, from a single matching pass."""
     _, p, took = _greedy_pass(dets, gt, tol)
     ends = np.flatnonzero(p != np.append(p[1:], np.nan))  # where a run of equal p ends
-    tp = np.append(0, np.cumsum(took >= 0)[ends])
+    tp = np.append(0, np.searchsorted(list(took), ends, side="right"))
     fp = np.append(0, ends + 1) - tp
     fn = len(gt) - tp
     columns = np.append(np.inf, p[ends]).tolist(), tp.tolist(), fp.tolist(), fn.tolist()

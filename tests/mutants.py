@@ -80,15 +80,20 @@ MUTANTS = [
     Mutant("src/spotdeconv/detection.py", "order = np.lexsort((col_c, row_c, -value))",
            "order = np.lexsort((row_c, col_c, -value))",
            "tests/test_detection.py::test_detect_tie_break_row_col"),
-    Mutant("src/spotdeconv/evaluation.py", "candidates[np.argmin(dist[candidates])]",
-           "candidates[::-1][np.argmin(dist[candidates][::-1])]",
-           "tests/test_evaluation.py::test_match_distance_tie_breaks_by_gt_index"),
-    Mutant("src/spotdeconv/evaluation.py", "unmatched & (dist <= tol)",
-           "unmatched & (dist < tol)",
-           "tests/test_evaluation.py::test_match_perfect"),
-    Mutant("src/spotdeconv/evaluation.py", "near[det[dist <= tol]] = True",
-           "near[det[dist < tol]] = True",
-           "tests/test_evaluation.py::test_match_perfect", id="near_source_within_tol"),
+    Mutant("src/spotdeconv/evaluation.py", "np.lexsort((src, dist, det))",
+           "np.lexsort((-src, dist, det))",
+           "tests/test_evaluation.py::test_match_distance_tie_breaks_by_gt_index",
+           id="test_match_distance_tie_breaks_by_gt_index"),
+    Mutant("src/spotdeconv/evaluation.py", "keep = dist <= tol", "keep = dist < tol",
+           "tests/test_evaluation.py::test_match_perfect", id="test_match_perfect"),
+    Mutant("src/spotdeconv/evaluation.py", "keep = dist <= tol", "keep = dist <= 2 * tol",
+           "tests/test_evaluation.py::test_match_mixed_example", id="near_source_within_tol"),
+    Mutant("src/spotdeconv/evaluation.py", "if len(taken) == len(gt_row):",
+           "if len(taken) == len(gt_row) - 1:",
+           "tests/test_evaluation.py::test_pass_stops_once_every_source_is_taken"),
+    Mutant("src/spotdeconv/evaluation.py", "p != np.append(p[1:], np.nan)",
+           "p != np.append(p[1:], 0.0)",
+           "tests/test_evaluation.py::test_sweep_reports_a_last_run_at_p_zero"),
     Mutant("src/spotdeconv/evaluation.py", "reach = 2 * tol", "reach = tol",
            "tests/test_evaluation.py::test_match_when_only_the_rounded_distance_is_within_tol"),
     Mutant("src/spotdeconv/evaluation.py", "out=np.zeros(np.shape(den)), where=den > 0)",

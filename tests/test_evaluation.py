@@ -71,6 +71,18 @@ def test_pre_filter_chunk_boundary_inside_the_last_window(monkeypatch):
     assert match([_det(0, 0, 0.5)], [(0.0, 1.0), (0.0, 2.0)], tol=3.0)[:3] == (1, 0, 1)
 
 
+def test_pass_stops_once_every_source_is_taken(monkeypatch):
+    # One pair per chunk: the first detection takes the only source, so the
+    # pairs of the other two are never drawn and never meet np.hypot.
+    calls = []
+    hypot = np.hypot
+    monkeypatch.setattr(evaluation, "PAIR_CHUNK", 1)
+    monkeypatch.setattr(np, "hypot", lambda *args: calls.append(1) or hypot(*args))
+    dets = [_det(0, 0, 0.9), _det(0, 1, 0.8), _det(1, 1, 0.7)]
+    assert match(dets, [(0.0, 0.0)], tol=3.0) == (1, 2, 0, {0: 0})
+    assert len(calls) == 1
+
+
 def test_pre_filter_memory_does_not_grow_with_the_pairs():
     # 4,000 detections and 1,000 sources on one row: all 4,000,000 pairs are
     # candidates (~32 MB per float64 pass over them), none lies within tol.
@@ -210,6 +222,12 @@ def test_shuffled_detections_give_same_sweep_and_best():
         shuffled = [dets[i] for i in rng.permutation(len(dets))]
         assert threshold_sweep(shuffled, gt, tol=3.0) == threshold_sweep(dets, gt, tol=3.0)
         assert best_threshold(shuffled, gt, tol=3.0) == best_threshold(dets, gt, tol=3.0)
+
+
+def test_sweep_reports_a_last_run_at_p_zero():
+    # The last detection ends a run whatever its p, 0.0 included.
+    sweep = threshold_sweep([_det(0, 0, 0.5), _det(9, 9, 0.0)], [(0.0, 0.0)])
+    assert [r[:4] for r in sweep] == [(np.inf, 0, 0, 1), (0.5, 1, 0, 0), (0.0, 1, 1, 0)]
 
 
 def test_sweep_equals_evaluate_at_each_distinct_threshold():

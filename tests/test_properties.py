@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -158,14 +160,16 @@ spread_detections = st.lists(
     max_size=16,
 )
 spread_ground_truth = st.lists(st.tuples(spread, spread), max_size=8)
-spread_tolerance = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, 3.0, 1e300])
+spread_tolerance = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, 3.0, 1e300, math.inf])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300)
 @given(spread_detections, spread_ground_truth, spread_tolerance)
-# 2 * tol overflows: the row window's edges are infinite, so the loop decides.
+# 2 * tol overflows: the row window's edges are infinite, every source a candidate.
 @example([Detection(1.7e308, 0.0, 1.0)], [(1.75e308, 0.0)], 1e308)
+# An infinite row and tol: the window is not finite, every source is a candidate.
+@example([Detection(math.inf, 0.0, 1.0)], [(0.0, 0.0)], math.inf)
 def test_sweep_and_match_equal_reference_off_grid(dets, gt, tol):
     assert [(r.threshold, r.tp, r.fp, r.fn) for r in threshold_sweep(dets, gt, tol)] == \
         reference_threshold_sweep(dets, gt, tol)
