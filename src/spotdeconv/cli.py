@@ -110,7 +110,7 @@ def _parse_config(raw):
     # A negative sigma_max over a negative delta_pix would pass the grid's rule.
     require(delta_pix > 0, "delta_pix", "> 0", delta_pix)
     grid = make_scale_grid(sigma_max / delta_pix, _number(raw, "K", integer=True))
-    truncation = check_truncation(_number(raw, "truncation", DEFAULT_TRUNCATION))
+    truncation = check_truncation(grid, _number(raw, "truncation", DEFAULT_TRUNCATION))
     seed = _number(raw, "seed", 0, integer=True)
 
     weights = raw.get("weights", {"uniform": 1.0})

@@ -6,14 +6,14 @@ in-image neighbor) become detections. A multi-pixel plateau yields a single
 detection at its centroid. Zero-valued plateaus are background, never
 detections.
 
-Maxima are found with numpy array passes over the image padded with -inf,
-no Python loop over pixels: a 3x3 max filter (three row shifts, then three
-column shifts) marks the pixels that are >= every neighbor, a union-find
-over adjacent marked pairs groups them into 8-connected plateaus, a
-component that has an unmarked neighbor of its own value is dropped (the
-rest of its plateau rises above it somewhere), and centroids come from
-bincount. The map must be finite: detect() rejects a volume whose group
-norms overflow.
+Maxima are found with numpy array passes, no Python loop over pixels. The
+nodes are the positive pixels of the map padded with zeros; a neighbor equal
+to or above a node is itself a node. One comparison of each node with its
+neighbor at each of the four forward offsets gives every touching equal pair,
+which a union-find joins into plateaus, and every node that lies below a
+neighbor, in either direction. A plateau with no node below a neighbor is a
+maximum, and centroids come from bincount. The map must be finite: detect()
+rejects a volume whose group norms overflow.
 """
 
 from itertools import repeat
@@ -32,48 +32,27 @@ class Detection(NamedTuple):
     pseudo_likelihood: float
 
 
-def _max3x3(padded):
-    """3x3 max filter of the interior of a -inf padded image (out-of-image
-    neighbors ignored): three row shifts, then three column shifts."""
-    rows = np.maximum(padded[:-2], padded[1:-1])
-    np.maximum(rows, padded[2:], out=rows)
-    out = np.maximum(rows[:, :-2], rows[:, 1:-1])
-    return np.maximum(out, rows[:, 2:], out=out)
+def _plateaus(u, v, size):
+    """Connected components of `size` nodes joined by the pairs (u[i], v[i]).
 
-
-def _components(marked, width):
-    """8-connected components of the marked pixels of a padded image
-    `width` wide, given as its flat mask `marked`.
-
-    Returns (ids, count): per marked pixel in raster order, its component
-    number; components are numbered by first pixel in raster order. A
-    union-find over the adjacent pairs, found at the four forward offsets:
-    each round hooks the larger root of a pair onto the smaller, then
-    pointer jumping flattens the trees, so parent[i] <= i throughout and a
-    root is the first pixel of its component.
+    Returns (ids, count): per node, its component number; components are
+    numbered by first node. A union-find: each round hooks the larger root of
+    a pair onto the smaller, then pointer jumping flattens the trees, so
+    parent[i] <= i throughout and a root is the first node of its component.
     """
-    pos = np.flatnonzero(marked)
-    index = np.cumsum(marked) - 1  # at a marked pixel, its rank in raster order
-    u, v = [], []  # the pairs (u[i], v[i]) of touching marked pixels, u < v
-    for offset in (1, width - 1, width, width + 1):
-        touch = np.flatnonzero(marked[pos + offset])
-        u.append(touch)
-        v.append(index[pos[touch] + offset])
-    u, v = np.concatenate(u), np.concatenate(v)
-    parent = np.arange(pos.size)
-    while True:
-        ru, rv = parent[u], parent[v]
-        apart = ru != rv
-        if not apart.any():
-            break
-        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+    parent = np.arange(size)
+    ru, rv = u, v  # the roots of each pair's ends: at first, each node is a root
+    while ru.size:
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
-    root = parent == np.arange(pos.size)
+        ru, rv = parent[u], parent[v]
+        apart = ru != rv
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+    root = parent == np.arange(size)
     return (np.cumsum(root) - 1)[parent], int(np.count_nonzero(root))
 
 
@@ -88,28 +67,33 @@ def regional_maxima(p):
     p = np.asarray(p, dtype=np.float64)
     m, n = p.shape
     width = n + 2
-    padded = np.full((m + 2, width), -np.inf)
+    padded = np.zeros((m + 2, width))
     padded[1:-1, 1:-1] = p
-    # Adjacent candidates are each >= the other, so a component is flat.
-    candidate = (p >= _max3x3(padded)) & (p > 0.0)
+    flat = padded.ravel()
+    node = flat > 0.0
+    pos = np.flatnonzero(node)
+    index = np.cumsum(node) - 1  # at a node, its rank in raster order
+    level = flat[pos]
+    below = np.zeros(pos.size, dtype=bool)  # the node lies below a neighbor
+    u, v = [], []  # the pairs (u[i], v[i]) of touching equal nodes, u < v
+    for offset in (1, width - 1, width, width + 1):
+        there = pos + offset
+        other = flat[there]
+        touch = np.flatnonzero(other == level)
+        u.append(touch)
+        v.append(index[there[touch]])
+        below |= level < other
+        below[index[there[(other < level) & (other > 0.0)]]] = True
+    ids, count = _plateaus(np.concatenate(u), np.concatenate(v), pos.size)
 
-    # A non-candidate neighbor of equal value is more of the same plateau, and
-    # it has a strictly greater neighbor: the plateau is no maximum. As a
-    # candidate is >= every neighbor, its largest non-candidate one shows it.
-    marked = np.zeros((m + 2, width), dtype=bool)
-    marked[1:-1, 1:-1] = candidate
-    padded[marked] = -np.inf
-    spills = (_max3x3(padded) == p)[candidate]
-
-    ids, count = _components(marked.ravel(), width)
-    rows, cols = np.nonzero(candidate)
+    rows, cols = np.nonzero(node.reshape(padded.shape)[1:-1, 1:-1])
     sizes = np.bincount(ids)
     # Integer coordinate sums are exact, so these equal np.mean per plateau.
     row_c = np.bincount(ids, weights=rows) / sizes
     col_c = np.bincount(ids, weights=cols) / sizes
     value = np.empty(count)
-    value[ids] = p[candidate]
-    keep = np.bincount(ids[spills], minlength=count) == 0
+    value[ids] = level
+    keep = np.bincount(ids[below], minlength=count) == 0
 
     row_c, col_c, value = row_c[keep], col_c[keep], value[keep]
     order = np.lexsort((col_c, row_c, -value))

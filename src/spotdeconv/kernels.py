@@ -68,9 +68,12 @@ def make_scale_grid(sigma_max_pixels, num_bins):
     return ScaleGrid(sigma_max_pixels=float(sigma_max_pixels), num_bins=num_bins)
 
 
-def check_truncation(truncation):
-    """The bank's rule for the tap radius ceil(truncation * sigma) of every bin."""
+def check_truncation(grid, truncation):
+    """The bank's rule for the tap radius ceil(truncation * sigma) of every bin:
+    finite for every sigma <= grid.sigma_max_pixels."""
     require(0 < truncation < np.inf, "truncation", "finite and > 0", truncation)
+    require(float(truncation) * grid.sigma_max_pixels < np.inf, "truncation",
+            f"finite times sigma_max_pixels {grid.sigma_max_pixels!r}", truncation)
     return truncation
 
 
@@ -84,7 +87,7 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
     """
     if not 0 <= k < grid.num_bins:
         raise ValueError(f"bin index {k} out of range [0, {grid.num_bins})")
-    check_truncation(truncation)
+    check_truncation(grid, truncation)
     sigma = max(grid.midpoint(k), SIGMA_MIN)
     radius = int(np.ceil(truncation * sigma))
     scale = 1.0 / (np.sqrt(2.0) * sigma)

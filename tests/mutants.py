@@ -72,11 +72,15 @@ MUTANTS = [
     Mutant("src/spotdeconv/convolution.py", "min(i0 + b + radius, size)",
            "min(i0 + b + radius - 1, size)",
            "tests/test_acceptance.py::test_criterion_5_tiny_instance_optimality"),
-    Mutant("src/spotdeconv/detection.py", "& (p > 0.0)", "& (p >= 0.0)",
-           "tests/test_detection.py::test_zero_background_not_detected"),
-    Mutant("src/spotdeconv/detection.py", "spills = (_max3x3(padded) == p)[candidate]",
-           "spills = (_max3x3(padded) > p)[candidate]",
-           "tests/test_detection.py::test_plateau_split_by_greater_pixel_excluded"),
+    Mutant("src/spotdeconv/detection.py", "node = flat > 0.0", "node = flat >= 0.0",
+           "tests/test_detection.py::test_zero_background_not_detected",
+           id="test_zero_background_not_detected"),
+    Mutant("src/spotdeconv/detection.py", "below |= level < other", "below |= level <= other",
+           "tests/test_detection.py::test_two_pixel_plateau_centroid",
+           id="test_plateau_split_by_greater_pixel_excluded"),
+    Mutant("src/spotdeconv/detection.py", "[(other < level) & (other > 0.0)]",
+           "[other < level]",
+           "tests/test_detection.py::test_isolated_peak"),
     Mutant("src/spotdeconv/detection.py", "order = np.lexsort((col_c, row_c, -value))",
            "order = np.lexsort((row_c, col_c, -value))",
            "tests/test_detection.py::test_detect_tie_break_row_col"),
@@ -101,6 +105,22 @@ MUTANTS = [
            "tests/test_evaluation.py::test_prf1_is_elementwise_over_arrays"),
     Mutant("src/spotdeconv/evaluation.py", "PAIR_CHUNK = 1 << 16", "PAIR_CHUNK = 1 << 40",
            "tests/test_evaluation.py::test_pre_filter_memory_does_not_grow_with_the_pairs"),
+    Mutant("src/spotdeconv/codec.py", "if data[:4] != MAGIC:", "if data[:3] != MAGIC[:3]:",
+           "tests/test_codec.py::test_bad_magic"),
+    Mutant("src/spotdeconv/codec.py", "if version != VERSION:", "if version > VERSION:",
+           "tests/test_codec.py::test_bad_version_and_ndim"),
+    Mutant("src/spotdeconv/codec.py", "if ndim not in (2, 3):", "if ndim > 3:",
+           "tests/test_codec.py::test_bad_version_and_ndim", id="codec_ndim_below_two"),
+    Mutant("src/spotdeconv/codec.py", "if len(data) != expected:", "if len(data) < expected:",
+           "tests/test_codec.py::test_truncated_payload_reports_lengths"),
+    Mutant("src/spotdeconv/synth.py", " - int(np.hypot(d, d) >= sep)", "",
+           "tests/test_synth.py::test_packing_bound_admits_greedy_raster_placement"),
+    Mutant("src/spotdeconv/synth.py", "np.hypot(d + 1, d + 1) < sep", "np.hypot(d + 1, d + 1) <= sep",
+           "tests/test_synth.py::test_packing_bound_admits_greedy_raster_placement",
+           id="packing_bound_next_side_below_sep"),
+    Mutant("src/spotdeconv/kernels.py", "float(truncation) * grid.sigma_max_pixels < np.inf",
+           "True", "tests/test_cli.py::test_pipeline_rejects_bad_config_value",
+           id="tap_radius_finite"),
 ]
 
 

@@ -163,6 +163,12 @@ NAN, INF = float("nan"), float("inf")
                  "10.0, got 10\n",
                  id="scene-value24-'scene.n_sources' must be <= 1, one per 4x4 pixel block "
                     "at min_separation 10.0, got 10\n"),
+    # The widest bin's tap radius, truncation * sigma, would overflow float64.
+    pytest.param("sigma_max", 1e308,
+                 "'truncation' must be finite times sigma_max_pixels 1e+308, got 4.0\n",
+                 id="sigma_max-1e+308-'truncation' must be finite times sigma_max_pixels "
+                    "1e+308, got 4.0\n"),
+    pytest.param("truncation", 1.7e308, "'truncation'", id="truncation-1.7e+308-'truncation'"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))

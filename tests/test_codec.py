@@ -42,19 +42,22 @@ def test_header_layout(tmp_path):
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.f64t"
-    path.write_bytes(b"XXXX" + b"\x00" * 20)
-    with pytest.raises(codec.CodecError, match="magic"):
-        codec.read_tensor(path)
+    for magic in (b"XXXX", b"SPTX"):
+        path.write_bytes(magic + b"\x00" * 20)
+        with pytest.raises(codec.CodecError, match="magic"):
+            codec.read_tensor(path)
 
 
 def test_bad_version_and_ndim(tmp_path):
     path = tmp_path / "bad.f64t"
-    path.write_bytes(b"SPTD" + struct.pack("<II", 9, 2) + struct.pack("<2Q", 1, 1) + b"\x00" * 8)
-    with pytest.raises(codec.CodecError, match="version"):
-        codec.read_tensor(path)
-    path.write_bytes(b"SPTD" + struct.pack("<II", 1, 4) + b"\x00" * 8)
-    with pytest.raises(codec.CodecError, match="ndim"):
-        codec.read_tensor(path)
+    for version in (9, 0):
+        path.write_bytes(b"SPTD" + struct.pack("<II", version, 2) + struct.pack("<2Q", 1, 1) + b"\x00" * 8)
+        with pytest.raises(codec.CodecError, match="version"):
+            codec.read_tensor(path)
+    for ndim in (4, 1):
+        path.write_bytes(b"SPTD" + struct.pack("<II", 1, ndim) + b"\x00" * 8)
+        with pytest.raises(codec.CodecError, match="ndim"):
+            codec.read_tensor(path)
 
 
 @pytest.mark.parametrize("shape", [(4,), (1, 2, 2, 1)], ids=["1d", "4d"])
@@ -71,6 +74,9 @@ def test_truncated_payload_reports_lengths(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(codec.CodecError, match="expected 60 bytes total, got 52"):
+        codec.read_tensor(path)
+    path.write_bytes(data + b"\x00")  # one trailing byte is refused too
+    with pytest.raises(codec.CodecError, match="expected 60 bytes total, got 61"):
         codec.read_tensor(path)
 
 

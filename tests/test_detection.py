@@ -54,8 +54,8 @@ def test_diagonal_plateau_not_split():
 
 
 def test_plateau_split_by_greater_pixel_excluded():
-    # The 3 leaves two candidate runs of 2s at either end of the top row;
-    # they are one plateau with a strictly greater neighbor, so no maximum.
+    # The top row of 2s is one plateau, and its middle pixel lies below the
+    # 3 (a strictly greater neighbor), so the plateau is no maximum.
     p = np.array([[2, 2, 2, 2, 2], [0, 0, 3, 0, 0]], dtype=float)
     assert regional_maxima(p) == [Detection(row=1.0, col=2.0, pseudo_likelihood=3.0)]
 

@@ -184,7 +184,7 @@ def test_sweep_and_match_equal_reference_off_grid(dets, gt, tol):
 level_images = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
-    elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -0.0]),
 )
 
 
@@ -214,11 +214,13 @@ def _serpentine():
 @example(np.array([[1.0], [3.0], [3.0], [0.0], [0.5]]))
 @example(np.zeros((4, 5)))
 @example(np.full((3, 4), 0.5))
-# The only equal-valued non-candidate neighbor is diagonal, or on the border.
+# The one plateau pixel below a neighbor joins the rest only diagonally.
 @example(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]))
 @example(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
 @example(_ring_around_centre())
 @example(_serpentine())
+# A positive plateau whose neighbors are all negative or off the image.
+@example(np.array([[1.0, 1.0, -1.0], [-1.0, -0.0, -1.0]]))
 def test_regional_maxima_equals_reference(p):
     assert regional_maxima(p) == reference_regional_maxima(p)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spotdeconv import synth
@@ -65,6 +65,9 @@ def test_infeasible_placement_raises():
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.floats(1.0, 8.0))
+# Separations exactly at a block's diagonal, where the bound's rounding decides q.
+@example(2, 2, float(np.hypot(1, 1)))
+@example(4, 4, float(np.hypot(3, 3)))
 def test_packing_bound_admits_greedy_raster_placement(rows, cols, min_separation):
     placed = []
     for r in range(rows):
