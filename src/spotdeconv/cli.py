@@ -169,11 +169,17 @@ def _read_checked(path, check):
 
 
 def _weights_image(cfg, shape):
-    """The weights image: the weights file (2-D and finite; apg_solve checks
-    its shape) or the uniform value as an image of `shape`."""
+    """The weights image: the weights file (2-D, finite and of `shape`; a
+    failure names the file) or the uniform value as an image of `shape`."""
     if cfg.weights_file is None:
         return np.full(shape, cfg.weights_uniform)
-    return _read_checked(cfg.weights_file, as_image)
+
+    def check(w):
+        w = as_image(w)
+        if w.shape != shape:
+            raise ValueError(f"weights shape {w.shape} does not match observation {shape}")
+        return w
+    return _read_checked(cfg.weights_file, check)
 
 
 def run_synth(cfg, bank):
@@ -215,8 +221,7 @@ def run_solve(cfg, bank, weights, d_obs):
 
 
 def _check_tol(tol):
-    if not np.isfinite(tol) or tol < 0:
-        raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
+    require(np.isfinite(tol) and tol >= 0, "--tol", "a finite number >= 0", tol)
 
 
 def _check_paths(inputs, outputs, out_dir=None):
@@ -271,26 +276,18 @@ def _write_solve(result, out, trace):
 
 
 def _write_evaluation(report_path, sweep_path, sweep, report, tol):
-    """report.json, with a +inf best threshold (no detection kept) as null, and the sweep."""
-    Path(report_path).write_text(_json({
-        "threshold": None if report.threshold == np.inf else report.threshold,
-        "TP": report.tp,
-        "FP": report.fp,
-        "FN": report.fn,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "tolerance": tol,
-    }))
+    """report.json, the best sweep row plus the tolerance, with a +inf threshold
+    (no detection kept) as null; and the sweep."""
+    best = dict(zip(codec.SWEEP_HEADER, report), tolerance=tol)
+    best["threshold"] = None if report.threshold == np.inf else report.threshold
+    Path(report_path).write_text(_json(best))
     codec.write_table(sweep_path, codec.SWEEP_HEADER, sweep)
 
 
 def _print_cap(cfg, result):
     if not result.converged:
-        print(
-            f"not converged: hit max_iters = {cfg.max_iters} with rel change "
-            f"{result.final_rel_change:.3e} > rel_tol {cfg.rel_tol:g}"
-        )
+        print(f"not converged: hit max_iters = {cfg.max_iters} with rel change "
+              f"{result.final_rel_change:.3e} > rel_tol {cfg.rel_tol:g}")
 
 
 def _cmd_synth(args):
@@ -311,10 +308,8 @@ def _cmd_solve(args):
     bank = _kernel_bank(cfg)
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
     _write_solve(result, args.out, args.trace)
-    print(
-        f"solved in {result.iterations} iterations, {result.restarts} restarts "
-        f"(final rel change {result.final_rel_change:.3e})"
-    )
+    print(f"solved in {result.iterations} iterations, {result.restarts} restarts "
+          f"(final rel change {result.final_rel_change:.3e})")
     _print_cap(cfg, result)
 
 
@@ -334,10 +329,8 @@ def _cmd_evaluate(args):
     gt = codec.read_ground_truth_csv(args.ground_truth)
     sweep, report = run_evaluate(dets, gt, args.tol)
     _write_evaluation(args.out, sweep_path, sweep, report, args.tol)
-    print(
-        f"best F1 {report.f1:.4f} at threshold {report.threshold:.6g} "
-        f"(TP={report.tp} FP={report.fp} FN={report.fn})"
-    )
+    print(f"best F1 {report.f1:.4f} at threshold {report.threshold:.6g} "
+          f"(TP={report.tp} FP={report.fp} FN={report.fn})")
 
 
 def _cmd_pipeline(args):
@@ -357,11 +350,27 @@ def _cmd_pipeline(args):
     _write_solve(result, a_opt_path, trace_path)
     codec.write_detections_csv(dets_path, dets)
     _write_evaluation(report_path, sweep_path, sweep, report, args.tol)
-    print(
-        f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
-        f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}"
-    )
+    print(f"pipeline done: {result.iterations} iterations, {result.restarts} restarts, "
+          f"{len(dets)} detections, best F1 {report.f1:.4f} at threshold {report.threshold:.6g}")
     _print_cap(cfg, result)
+
+
+_REQUIRED = {"required": True}
+_TOL = {"type": float, "default": DEFAULT_TOL}
+# Each subcommand: (handler, help, {flag: add_argument keywords}).
+COMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic scene",
+              {"--config": _REQUIRED, "--out-dir": _REQUIRED}),
+    "solve": (_cmd_solve, "reconstruct a volume from an observation",
+              {"--config": _REQUIRED, "--obs": _REQUIRED, "--out": _REQUIRED, "--trace": {}}),
+    "detect": (_cmd_detect, "extract detections from a volume",
+               {"--volume": _REQUIRED, "--out": _REQUIRED}),
+    "evaluate": (_cmd_evaluate, "score detections against ground truth",
+                 {"--detections": _REQUIRED, "--ground-truth": _REQUIRED, "--tol": _TOL,
+                  "--out": _REQUIRED, "--sweep": {}}),
+    "pipeline": (_cmd_pipeline, "synth + solve + detect + evaluate",
+                 {"--config": _REQUIRED, "--out-dir": _REQUIRED, "--tol": _TOL}),
+}
 
 
 def build_parser():
@@ -370,38 +379,11 @@ def build_parser():
         description="Group-sparse multi-kernel deconvolution and spot detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("solve", help="reconstruct a volume from an observation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("detect", help="extract detections from a volume")
-    p.add_argument("--volume", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("evaluate", help="score detections against ground truth")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--ground-truth", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sweep", default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="synth + solve + detect + evaluate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=_cmd_pipeline)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -81,18 +81,17 @@ def _greedy_pass(dets, gt, tol):
     placed = np.isfinite(lo_edge) & np.isfinite(hi_edge)
     lo = np.where(placed, np.searchsorted(sorted_row, lo_edge, side="left"), 0)
     hi = np.where(placed, np.searchsorted(sorted_row, hi_edge, side="right"), len(gt_row))
-    todo = np.flatnonzero(hi > lo)
-    lo, width = lo[todo], hi[todo] - lo[todo]
+    width = np.maximum(hi - lo, 0)  # a tol below 0 inverts the window: no pairs
     first = np.cumsum(width) - width  # each detection's first pair in the whole list
     # Each chunk starts at the first detection whose pairs start at or after a
     # multiple of PAIR_CHUNK; a span that straddles one stays in the chunk before.
     starts = np.searchsorted(first, np.arange(PAIR_CHUNK, width.sum(), PAIR_CHUNK))
-    bounds = np.unique(np.r_[0, starts, len(todo)]).tolist()
+    bounds = np.unique(np.r_[0, starts, len(rows)]).tolist()
     took, taken = {}, set()
     for a, b in zip(bounds[:-1], bounds[1:]):
         if len(taken) == len(gt_row):
             break  # no later pair can match
-        det = np.repeat(todo[a:b], width[a:b])
+        det = np.repeat(np.arange(a, b), width[a:b])
         src = by_row[np.arange(first[a], first[b - 1] + width[b - 1])
                      - np.repeat(first[a:b] - lo[a:b], width[a:b])]
         with np.errstate(over="ignore"):  # an overflowing distance is inf

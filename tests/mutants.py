@@ -121,6 +121,20 @@ MUTANTS = [
     Mutant("src/spotdeconv/kernels.py", "float(truncation) * grid.sigma_max_pixels < np.inf",
            "True", "tests/test_cli.py::test_pipeline_rejects_bad_config_value",
            id="tap_radius_finite"),
+    Mutant("src/spotdeconv/solver.py", "np.square(wmax)", "wmax",
+           "tests/test_solver.py::test_step_size_examples"),
+    Mutant("src/spotdeconv/solver.py", "(i - 1.0) / (i + chambolle_a - 1.0)",
+           "(i - 1.0) / (i + chambolle_a)",
+           "tests/test_solver.py::test_momentum_chambolle_table"),
+    Mutant("src/spotdeconv/synth.py", "int(rows[-1] - rows[0]) + 1", "int(rows[-1] - rows[0])",
+           "tests/test_synth.py::test_placement_matches_scalar_loop",
+           id="room_bounding_box_height"),
+    Mutant("src/spotdeconv/cli.py", '"default": DEFAULT_TOL}', '"default": 2 * DEFAULT_TOL}',
+           "tests/test_cli.py::test_parser_surface"),
+    Mutant("src/spotdeconv/cli.py", "None if report.threshold == np.inf else report.threshold",
+           "report.threshold", "tests/test_cli.py::test_report_json_bytes"),
+    Mutant("src/spotdeconv/evaluation.py", "np.maximum(hi - lo, 0)", "hi - lo",
+           "tests/test_evaluation.py::test_negative_tol_matches_nothing"),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -374,6 +375,39 @@ def test_readme_lists_every_config_field():
     assert sorted(set(re.findall(r"`(\w+)`", scene))) == sorted(cli.SCENE_FIELDS)
 
 
+# Each subcommand's help line, handler and (flag, required, default, type) rows.
+PARSER_SURFACE = {
+    "synth": ("generate a synthetic scene", "_cmd_synth",
+              [("--config", True, None, None), ("--out-dir", True, None, None)]),
+    "solve": ("reconstruct a volume from an observation", "_cmd_solve",
+              [("--config", True, None, None), ("--obs", True, None, None),
+               ("--out", True, None, None), ("--trace", False, None, None)]),
+    "detect": ("extract detections from a volume", "_cmd_detect",
+               [("--volume", True, None, None), ("--out", True, None, None)]),
+    "evaluate": ("score detections against ground truth", "_cmd_evaluate",
+                 [("--detections", True, None, None), ("--ground-truth", True, None, None),
+                  ("--tol", False, 3.0, float), ("--out", True, None, None),
+                  ("--sweep", False, None, None)]),
+    "pipeline": ("synth + solve + detect + evaluate", "_cmd_pipeline",
+                 [("--config", True, None, None), ("--out-dir", True, None, None),
+                  ("--tol", False, 3.0, float)]),
+}
+
+
+def test_parser_surface():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
+    assert list(commands.choices) == list(PARSER_SURFACE)
+    for name, (help_text, handler, flags) in PARSER_SURFACE.items():
+        sub = commands.choices[name]
+        assert helps[name] == help_text
+        assert sub.get_default("func") is getattr(cli, handler)
+        assert [(*action.option_strings, action.required, action.default, action.type)
+                for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)] == flags, name
+
+
 def test_synth_outputs(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "scene"
@@ -736,6 +770,25 @@ def test_solve_weights_shape_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_weights_shape_error_names_the_file(tmp_path, capsys, command):
+    # The one line names the weights file, as for any other unreadable input.
+    w_path = tmp_path / "w.f64t"
+    codec.write_tensor(w_path, np.ones((8, 8)))
+    cfg = _write_config(tmp_path, weights={"file": str(w_path)})
+    out = tmp_path / "out"
+    if command == "solve":
+        obs_path = tmp_path / "d_obs.f64t"
+        codec.write_tensor(obs_path, np.ones((24, 24)))
+        argv = ["solve", "--config", cfg, "--obs", str(obs_path), "--out", str(out)]
+    else:
+        argv = ["pipeline", "--config", cfg, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {w_path}: weights shape (8, 8) does not match observation (24, 24)\n")
+    assert not out.exists()
+
+
 _BLOCK_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
@@ -798,6 +851,25 @@ def test_evaluate_empty_detections(tmp_path, capsys):
     assert report["f1"] == 0.0
     assert report["FN"] == 2
     assert report["threshold"] is None
+
+
+@pytest.mark.parametrize("dets, want", [
+    ([(1.0, 1.0, 0.9), (10.0, 10.0, 0.5)],
+     '{\n  "threshold": 0.9,\n  "TP": 1,\n  "FP": 0,\n  "FN": 1,\n  "precision": 1.0,\n'
+     '  "recall": 0.5,\n  "f1": 0.6666666666666666,\n  "tolerance": 2.5\n}'),
+    # Every F1 is 0, so the best row is the first, at +inf: written as null.
+    ([(30.0, 30.0, 0.9)],
+     '{\n  "threshold": null,\n  "TP": 0,\n  "FP": 0,\n  "FN": 2,\n  "precision": 0.0,\n'
+     '  "recall": 0.0,\n  "f1": 0.0,\n  "tolerance": 2.5\n}'),
+], ids=["finite", "inf"])
+def test_report_json_bytes(tmp_path, dets, want):
+    # report.json is the best sweep row, in the sweep CSV's column order, plus the tolerance.
+    det_path, gt_path, out = tmp_path / "det.csv", tmp_path / "gt.csv", tmp_path / "r.json"
+    codec.write_detections_csv(det_path, [Detection(*d) for d in dets])
+    codec.write_ground_truth_csv(gt_path, [(1.0, 1.0), (20.0, 20.0)])
+    assert main(["evaluate", "--detections", str(det_path), "--ground-truth", str(gt_path),
+                 "--tol", "2.5", "--out", str(out)]) == 0
+    assert out.read_text() == want
 
 
 def test_malformed_tensor_exit_code(tmp_path, capsys):

@@ -98,6 +98,13 @@ def test_pre_filter_memory_does_not_grow_with_the_pairs():
     assert peak < 8 * 2**20
 
 
+def test_negative_tol_matches_nothing():
+    # A tol below 0 inverts each detection's row window: every detection is a false positive.
+    dets = [_det(0, 0, 0.9), _det(5, 5, 0.5)]
+    assert match(dets, [(0.0, 0.0)], tol=-1.0) == (0, 2, 1, {})
+    assert threshold_sweep(dets, [(0.0, 0.0)], tol=-1.0)[-1][1:4] == (0, 2, 1)
+
+
 def test_match_nearest_unmatched_preference():
     # higher-likelihood detection grabs the nearest gt; the second detection
     # must settle for the remaining one
