@@ -25,7 +25,7 @@ from .evaluation import DEFAULT_TOL, best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, check_truncation, make_scale_grid
 from .solver import SolverConfig, apg_solve
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
-from .tensors import BoundError, as_image, as_volume, require
+from .tensors import BoundError, require
 
 
 class ConfigError(ValueError):
@@ -160,33 +160,42 @@ def _kernel_bank(cfg):
     return build_kernel_bank(grid, cfg.truncation)
 
 
-def _read_checked(path, check):
-    """Read a tensor file and pass it through `check`; a failure names the file."""
+def _read_checked(path, ndim, check=None):
+    """The one rule for an input tensor file: `ndim` dims, none of them 0, finite
+    values, then `check`, whose result it returns. A failure names the file."""
     try:
-        return check(codec.read_tensor(path))
-    except ValueError as exc:
+        arr = codec.read_tensor(path)
+        if arr.ndim != ndim or 0 in arr.shape:
+            raise ValueError(f"tensor must be {ndim}-D with positive dims, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("tensor contains non-finite entries")
+        return arr if check is None else check(arr)
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
 def _weights_image(cfg, shape):
-    """The weights image: the weights file (2-D, finite and of `shape`; a
-    failure names the file) or the uniform value as an image of `shape`."""
+    """The weights image: the weights file, which must be of `shape`, or the
+    uniform value as an image of `shape`."""
     if cfg.weights_file is None:
         return np.full(shape, cfg.weights_uniform)
 
     def check(w):
-        w = as_image(w)
         if w.shape != shape:
             raise ValueError(f"weights shape {w.shape} does not match observation {shape}")
         return w
-    return _read_checked(cfg.weights_file, check)
+    return _read_checked(cfg.weights_file, 2, check)
+
+
+def _scene(cfg):
+    if cfg.scene is None:
+        raise ConfigError("config field 'scene' is missing")
+    return cfg.scene
 
 
 def run_synth(cfg, bank):
     """Generate and render the scene: (a_true, d_obs, ground truth, meta), all finite."""
     spec = cfg.scene
-    if spec is None:
-        raise ConfigError("config field 'scene' is missing")
     noise_seed = spec.seed + 1
     with np.errstate(over="ignore", invalid="ignore"):
         a_true, gt = generate_scene(spec)
@@ -295,6 +304,7 @@ def _cmd_synth(args):
     out_dir = Path(args.out_dir)
     _check_paths([("--config", args.config)],
                  [("--out-dir", out_dir / name) for name in SCENE_FILES], out_dir)
+    _scene(cfg)
     _write_scene(out_dir, *run_synth(cfg, _kernel_bank(cfg)))
     print(f"scene written to {args.out_dir}")
 
@@ -304,7 +314,7 @@ def _cmd_solve(args):
     _check_paths([("--config", args.config), ("--obs", args.obs),
                   ("config field 'weights.file'", cfg.weights_file)],
                  [("--out", args.out), ("--trace", args.trace)])
-    d_obs = _read_checked(args.obs, as_image)
+    d_obs = _read_checked(args.obs, 2)
     bank = _kernel_bank(cfg)
     result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
     _write_solve(result, args.out, args.trace)
@@ -315,7 +325,7 @@ def _cmd_solve(args):
 
 def _cmd_detect(args):
     _check_paths([("--volume", args.volume)], [("--out", args.out)])
-    dets = _read_checked(args.volume, lambda vol: detect(as_volume(vol)))
+    dets = _read_checked(args.volume, 3, detect)
     codec.write_detections_csv(args.out, dets)
     print(f"{len(dets)} detections written to {args.out}")
 
@@ -339,9 +349,11 @@ def _cmd_pipeline(args):
     out_dir = Path(args.out_dir)
     _check_paths([("--config", args.config), ("config field 'weights.file'", cfg.weights_file)],
                  [("--out-dir", out_dir / name) for name in SCENE_FILES + RUN_FILES], out_dir)
+    spec = _scene(cfg)
+    weights = _weights_image(cfg, (spec.rows, spec.cols))
     bank = _kernel_bank(cfg)
     a_true, d_obs, gt, meta = run_synth(cfg, bank)
-    result = run_solve(cfg, bank, _weights_image(cfg, d_obs.shape), d_obs)
+    result = run_solve(cfg, bank, weights, d_obs)
     dets = detect(result.a_opt)
     sweep, report = run_evaluate(dets, gt, args.tol)
     a_opt_path, trace_path, dets_path, report_path, sweep_path = (

@@ -12,6 +12,8 @@ the threshold sweep are outputs only.
 
 import csv
 import math
+import os
+import stat
 import struct
 from itertools import chain
 
@@ -33,45 +35,50 @@ class CodecError(ValueError):
 
 
 def write_tensor(path, arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if arr.ndim not in (2, 3):
         raise ValueError(f"only 2-D/3-D tensors supported, got ndim={arr.ndim}")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f8", copy=False).tobytes())
+        fh.write(struct.pack(f"<4sII{arr.ndim}Q", MAGIC, VERSION, arr.ndim, *arr.shape))
+        fh.write(arr)
+
+
+def _check_length(header_end, expected, size):
+    if size != expected:
+        raise CodecError(f"payload length mismatch at byte offset {header_end}: "
+                         f"expected {expected} bytes total, got {size}")
 
 
 def read_tensor(path):
+    """Any well-formed tensor file, NaN and empty ones included, as one array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise CodecError(f"bad magic {data[:4]!r} at byte offset 0")
-    if len(data) < 12:
-        raise CodecError(f"truncated header: file is {len(data)} bytes, need >= 12")
-    version, ndim = struct.unpack_from("<II", data, 4)
-    if version != VERSION:
-        raise CodecError(f"unsupported version {version} at byte offset 4")
-    if ndim not in (2, 3):
-        raise CodecError(f"bad ndim {ndim} at byte offset 8")
-    header_end = 12 + 8 * ndim
-    if len(data) < header_end:
-        raise CodecError(
-            f"truncated dimensions: file is {len(data)} bytes, need >= {header_end}"
-        )
-    shape = struct.unpack_from(f"<{ndim}Q", data, 12)
-    expected = header_end + 8 * math.prod(shape)
-    if len(data) != expected:
-        raise CodecError(
-            f"payload length mismatch at byte offset {header_end}: "
-            f"expected {expected} bytes total, got {len(data)}"
-        )
-    try:  # numpy refuses dims whose product overflows, even when one of them is 0
-        arr = np.frombuffer(data, dtype="<f8", offset=header_end).reshape(shape)
-    except ValueError as exc:
-        raise CodecError(f"bad dimensions {shape} at byte offset 12: {exc}") from None
-    return arr.astype(np.float64)
+        head = fh.read(12)
+        if head[:4] != MAGIC:
+            raise CodecError(f"bad magic {head[:4]!r} at byte offset 0")
+        if len(head) < 12:
+            raise CodecError(f"truncated header: file is {len(head)} bytes, need >= 12")
+        version, ndim = struct.unpack_from("<II", head, 4)
+        if version != VERSION:
+            raise CodecError(f"unsupported version {version} at byte offset 4")
+        if ndim not in (2, 3):
+            raise CodecError(f"bad ndim {ndim} at byte offset 8")
+        header_end = 12 + 8 * ndim
+        dims = fh.read(8 * ndim)
+        if len(dims) < 8 * ndim:
+            raise CodecError(f"truncated dimensions: file is {12 + len(dims)} bytes, "
+                             f"need >= {header_end}")
+        shape = struct.unpack(f"<{ndim}Q", dims)
+        expected = header_end + 8 * math.prod(shape)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):  # a claim past the file's size allocates nothing
+            _check_length(header_end, expected, info.st_size)
+        try:  # numpy refuses dims whose product overflows, even when one of them is 0
+            arr = np.empty(shape, dtype="<f8")
+        except ValueError as exc:
+            raise CodecError(f"bad dimensions {shape} at byte offset 12: {exc}") from None
+        # A pipe's length is known only once read: the payload, then what follows it.
+        _check_length(header_end, expected, header_end + fh.readinto(arr) + len(fh.read()))
+    return arr
 
 
 def write_table(path, header, rows):
@@ -115,7 +122,7 @@ def _read_table(path, header):
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{where}: non-numeric value in {row}") from None
-            if not np.isfinite(values).all():
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{where}: non-finite value in {row}")
             rows.append(values)
     return rows

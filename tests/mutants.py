@@ -105,14 +105,34 @@ MUTANTS = [
            "tests/test_evaluation.py::test_prf1_is_elementwise_over_arrays"),
     Mutant("src/spotdeconv/evaluation.py", "PAIR_CHUNK = 1 << 16", "PAIR_CHUNK = 1 << 40",
            "tests/test_evaluation.py::test_pre_filter_memory_does_not_grow_with_the_pairs"),
-    Mutant("src/spotdeconv/codec.py", "if data[:4] != MAGIC:", "if data[:3] != MAGIC[:3]:",
+    Mutant("src/spotdeconv/codec.py", "if head[:4] != MAGIC:", "if head[:3] != MAGIC[:3]:",
            "tests/test_codec.py::test_bad_magic"),
     Mutant("src/spotdeconv/codec.py", "if version != VERSION:", "if version > VERSION:",
            "tests/test_codec.py::test_bad_version_and_ndim"),
     Mutant("src/spotdeconv/codec.py", "if ndim not in (2, 3):", "if ndim > 3:",
            "tests/test_codec.py::test_bad_version_and_ndim", id="codec_ndim_below_two"),
-    Mutant("src/spotdeconv/codec.py", "if len(data) != expected:", "if len(data) < expected:",
+    Mutant("src/spotdeconv/codec.py", "if size != expected:", "if size < expected:",
            "tests/test_codec.py::test_truncated_payload_reports_lengths"),
+    Mutant("src/spotdeconv/codec.py", "if stat.S_ISREG(info.st_mode):",
+           "if stat.S_ISFIFO(info.st_mode):",
+           "tests/test_codec.py::test_read_tensor_allocates_one_payload"),
+    Mutant("src/spotdeconv/codec.py", " + len(fh.read())", "",
+           "tests/test_codec.py::test_read_tensor_from_a_pipe"),
+    Mutant("src/spotdeconv/cli.py", "arr.ndim != ndim", "arr.ndim < ndim",
+           "tests/test_cli.py::test_input_tensor_rule_names_the_file", id="reader_rank"),
+    Mutant("src/spotdeconv/cli.py", " or 0 in arr.shape", "",
+           "tests/test_cli.py::test_input_tensor_rule_names_the_file", id="reader_empty_dims"),
+    Mutant("src/spotdeconv/cli.py", "if not np.isfinite(arr).all():",
+           "if not np.isfinite(arr).any():",
+           "tests/test_cli.py::test_solve_rejects_non_finite_input"),
+    Mutant("src/spotdeconv/cli.py", "if resolved == other:", "if path == other:",
+           "tests/test_cli.py::test_two_outputs_on_one_path_exit_code"),
+    Mutant("src/spotdeconv/cli.py", "if resolved.is_dir():", "if False:",
+           "tests/test_cli.py::test_pipeline_out_dir_file_is_a_directory_exit_code"),
+    Mutant("src/spotdeconv/cli.py", "not resolved.parent.is_dir()", "False",
+           "tests/test_cli.py::test_unwritable_second_output_exit_code"),
+    Mutant("src/spotdeconv/cli.py", "if p.exists()).is_dir()", "if p.exists()).exists()",
+           "tests/test_cli.py::test_out_dir_on_a_file_exit_code"),
     Mutant("src/spotdeconv/synth.py", " - int(np.hypot(d, d) >= sep)", "",
            "tests/test_synth.py::test_packing_bound_admits_greedy_raster_placement"),
     Mutant("src/spotdeconv/synth.py", "np.hypot(d + 1, d + 1) < sep", "np.hypot(d + 1, d + 1) <= sep",
@@ -129,6 +149,9 @@ MUTANTS = [
     Mutant("src/spotdeconv/synth.py", "int(rows[-1] - rows[0]) + 1", "int(rows[-1] - rows[0])",
            "tests/test_synth.py::test_placement_matches_scalar_loop",
            id="room_bounding_box_height"),
+    Mutant("src/spotdeconv/synth.py", "int(cols[-1] - cols[0]) + 1", "int(cols[-1] - cols[0])",
+           "tests/test_synth.py::test_placement_matches_scalar_loop",
+           id="room_bounding_box_width"),
     Mutant("src/spotdeconv/cli.py", '"default": DEFAULT_TOL}', '"default": 2 * DEFAULT_TOL}',
            "tests/test_cli.py::test_parser_surface"),
     Mutant("src/spotdeconv/cli.py", "None if report.threshold == np.inf else report.threshold",

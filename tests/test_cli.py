@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -787,6 +788,84 @@ def test_weights_shape_error_names_the_file(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"error: {w_path}: weights shape (8, 8) does not match observation (24, 24)\n")
     assert not out.exists()
+
+
+def test_pipeline_checks_weights_file_before_synth(tmp_path, capsys, monkeypatch):
+    # The scene fixes the weights' shape at load: a mis-shaped weights file
+    # is refused before the scene is generated, rendered and noised.
+    calls = []
+    generate = cli.generate_scene
+    monkeypatch.setattr(cli, "generate_scene", lambda spec: calls.append(spec) or generate(spec))
+    w_path = tmp_path / "w.f64t"
+    codec.write_tensor(w_path, np.ones((8, 8)))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", _write_config(tmp_path, weights={"file": str(w_path)}),
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {w_path}: weights shape (8, 8) does not match observation (24, 24)\n")
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_missing_scene_exit_code(tmp_path, capsys, command):
+    cfg = json.loads(Path(_write_config(tmp_path)).read_text())
+    del cfg["scene"]
+    path = tmp_path / "no_scene.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config field 'scene' is missing\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, shape", [
+    ("--obs", (0, 16)), ("--obs", (16, 16, 2)), ("--volume", (6, 0, 2)), ("--volume", (6, 6)),
+], ids=["obs-empty", "obs-rank", "volume-empty", "volume-rank"])
+def test_input_tensor_rule_names_the_file(tmp_path, capsys, flag, shape):
+    # --obs must hold an image and --volume a volume, each with no zero-length
+    # dimension; the one line names the file and nothing is written.
+    path, out = tmp_path / "in.f64t", tmp_path / "out"
+    codec.write_tensor(path, np.ones(shape))
+    command = ["solve", "--config", _write_config(tmp_path)] if flag == "--obs" else ["detect"]
+    rc, err = _run_quiet(capsys, [*command, flag, str(path), "--out", str(out)])
+    assert rc == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_pipe_header_past_memory_names_the_file(tmp_path, capsys):
+    # A pipe's length is known only once read, so the array its header claims
+    # (8 TiB) is allocated first; that failure names the file too.
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, b"SPTD" + struct.pack("<II2Q", 1, 2, 2**20, 2**20) + b"\x00" * 8)
+    os.close(write_fd)
+    out = tmp_path / "det.csv"
+    try:
+        rc, err = _run_quiet(capsys, ["detect", "--volume", f"/dev/fd/{read_fd}", "--out", str(out)])
+    finally:
+        os.close(read_fd)
+    assert rc == 1
+    assert err.startswith(f"error: /dev/fd/{read_fd}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+@pytest.mark.parametrize("shape", [(0, 24), (24, 24, 2)], ids=["empty", "rank"])
+def test_weights_file_rule_names_the_file(tmp_path, capsys, command, shape):
+    w_path, out = tmp_path / "w.f64t", tmp_path / "out"
+    codec.write_tensor(w_path, np.ones(shape))
+    cfg = _write_config(tmp_path, weights={"file": str(w_path)})
+    if command == "solve":
+        obs_path = tmp_path / "d_obs.f64t"
+        codec.write_tensor(obs_path, np.ones((24, 24)))
+        argv = ["solve", "--config", cfg, "--obs", str(obs_path), "--out", str(out)]
+    else:
+        argv = ["pipeline", "--config", cfg, "--out-dir", str(out)]
+    rc, err = _run_quiet(capsys, argv)
+    assert rc == 1
+    assert err.startswith(f"error: {w_path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 _BLOCK_SCIPY = """

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +81,59 @@ def test_truncated_payload_reports_lengths(tmp_path):
     path.write_bytes(data + b"\x00")  # one trailing byte is refused too
     with pytest.raises(codec.CodecError, match="expected 60 bytes total, got 61"):
         codec.read_tensor(path)
+
+
+def _read_from_pipe(data):
+    """read_tensor on the read end of a pipe that a thread fills with `data`
+    in 4 KiB writes: the reader sees no file size and short reads."""
+    read_fd, write_fd = os.pipe()
+
+    def fill():
+        for start in range(0, len(data), 4096):
+            os.write(write_fd, data[start:start + 4096])
+        os.close(write_fd)
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        return codec.read_tensor(f"/dev/fd/{read_fd}")
+    finally:
+        writer.join()
+        os.close(read_fd)
+
+
+def test_read_tensor_from_a_pipe(tmp_path):
+    arr = np.random.default_rng(63).standard_normal((40, 30, 5))  # 48,000 payload bytes
+    path = tmp_path / "t.f64t"
+    codec.write_tensor(path, arr)
+    data = path.read_bytes()
+    assert _read_from_pipe(data).tobytes() == arr.tobytes()
+    with pytest.raises(codec.CodecError, match="expected 48036 bytes total, got 48035"):
+        _read_from_pipe(data[:-1])
+    with pytest.raises(codec.CodecError, match="expected 48036 bytes total, got 48037"):
+        _read_from_pipe(data + b"\x00")
+
+
+def test_read_tensor_allocates_one_payload(tmp_path):
+    # The payload is read into the array returned: no copy of the file's bytes.
+    path = tmp_path / "t.f64t"
+    codec.write_tensor(path, np.ones((256, 256, 4)))  # 2 MiB
+    tracemalloc.start()
+    try:
+        arr = codec.read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.nbytes <= peak < 1.25 * arr.nbytes
+    # A header that claims 256 MiB in a 36-byte file allocates nothing.
+    path.write_bytes(b"SPTD" + struct.pack("<II2Q", 1, 2, 2**12, 2**13) + b"\x00" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(codec.CodecError, match="expected 268435484 bytes total, got 36"):
+            codec.read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _read_or_codec_error(path, data):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spotdeconv.tensors import BoundError, as_image, as_volume, group_norm_image, require
+from spotdeconv.tensors import BoundError, group_norm_image, require
 
 
 def test_group_norm_345():
@@ -20,17 +20,6 @@ def test_group_norm_matches_frobenius():
     rng = np.random.default_rng(2)
     v = rng.standard_normal((6, 7, 4))
     assert np.sum(group_norm_image(v) ** 2) == pytest.approx(np.linalg.norm(v) ** 2)
-
-
-def test_validators():
-    with pytest.raises(ValueError):
-        as_image(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        as_image(np.ones(3))
-    with pytest.raises(ValueError):
-        as_volume(np.full((2, 2, 2), np.inf))
-    with pytest.raises(ValueError, match=r"^volume must be 3-D .* got shape \(2, 2\)$"):
-        as_volume(np.ones((2, 2)))
 
 
 def test_require_raises_bound_error():
