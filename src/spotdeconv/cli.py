@@ -23,7 +23,7 @@ from .convolution import forward
 from .detection import detect
 from .evaluation import DEFAULT_TOL, best_report, threshold_sweep
 from .kernels import DEFAULT_TRUNCATION, build_kernel_bank, check_truncation, make_scale_grid
-from .solver import SolverConfig, apg_solve
+from .solver import SolverConfig, apg_solve, check_weights_shape, step_size
 from .synth import GENERATOR_NAME, SceneSpec, add_noise, generate_scene
 from .tensors import BoundError, require
 
@@ -117,6 +117,9 @@ def _parse_config(raw):
     if not (isinstance(weights, dict) and len(weights) == 1
             and ("uniform" in weights or isinstance(weights.get("file"), str))):
         raise ConfigError("config field 'weights' must be {\"uniform\": value} or {\"file\": path}")
+    uniform = None if "file" in weights else _number(weights, "uniform", scope="weights")
+    if uniform is not None:  # the solver's step rule; a weights file meets it when read
+        step_size(grid.sigma_max_pixels, uniform)
 
     momentum = raw.get("momentum", SolverConfig.momentum)
     scene = raw.get("scene")
@@ -151,8 +154,7 @@ def _parse_config(raw):
         max_iters=_number(raw, "max_iters", SolverConfig.max_iters, integer=True),
         rel_tol=_number(raw, "rel_tol", SolverConfig.rel_tol),
         sigma_max_pixels=grid.sigma_max_pixels, num_scales=grid.num_bins, truncation=truncation,
-        weights_uniform=None if "file" in weights else _number(weights, "uniform", scope="weights"),
-        weights_file=weights.get("file"), scene=scene)
+        weights_uniform=uniform, weights_file=weights.get("file"), scene=scene)
 
 
 def _kernel_bank(cfg):
@@ -175,16 +177,11 @@ def _read_checked(path, ndim, check=None):
 
 
 def _weights_image(cfg, shape):
-    """The weights image: the weights file, which must be of `shape`, or the
-    uniform value as an image of `shape`."""
+    """The weights image of `shape`: the uniform value, or the file under the solver's rules."""
     if cfg.weights_file is None:
         return np.full(shape, cfg.weights_uniform)
-
-    def check(w):
-        if w.shape != shape:
-            raise ValueError(f"weights shape {w.shape} does not match observation {shape}")
-        return w
-    return _read_checked(cfg.weights_file, 2, check)
+    return _read_checked(cfg.weights_file, 2, lambda w: step_size(
+        cfg.sigma_max_pixels, check_weights_shape(w, shape)) and w)  # a step > 0, then w
 
 
 def _scene(cfg):

@@ -99,9 +99,16 @@ def step_size(sigma_max_pixels, w):
     wmax = np.max(np.abs(w))
     with np.errstate(divide="ignore", over="ignore"):
         eta = np.float64(1.0 / sigma_max_pixels) / np.square(wmax)
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"degenerate weights: max|w| = {float(wmax)!r} gives step {float(eta)!r}")
+    require(0.0 < eta < np.inf, "weights", "non-degenerate, max|w| giving a finite step > 0 "
+            f"(degenerate weights give step {float(eta)!r})", float(wmax))
     return float(eta)
+
+
+def check_weights_shape(w, shape):
+    """The weights' shape rule: w has the observation's `shape`. Returns w."""
+    if w.shape != shape:
+        raise ValueError(f"weights shape {w.shape} does not match observation {shape}")
+    return w
 
 
 def momentum_alpha(scheme, i, state=None, chambolle_a=3.0):
@@ -153,10 +160,9 @@ def prox_group(v, kappa):
 
 def objective(a, d_obs, w, bank, lam):
     """Weighted squared fidelity (not halved) plus lambda * group norm."""
-    if a.shape[:2] != d_obs.shape or d_obs.shape != w.shape:
-        raise ValueError(
-            f"shape mismatch: volume {a.shape}, observation {d_obs.shape}, weights {w.shape}"
-        )
+    check_weights_shape(w, d_obs.shape)
+    if a.shape[:2] != d_obs.shape:
+        raise ValueError(f"volume shape {a.shape} does not match observation {d_obs.shape}")
     residual = w * (d_obs - forward(a, bank))
     return float(np.sum(residual * residual) + lam * np.sum(group_norm_image(a)))
 
@@ -172,20 +178,17 @@ def apg_solve(d_obs, w, bank, cfg, progress: Optional[Callable] = None):
     each iteration, the number of momentum restarts and whether the run
     converged or hit max_iters.
     """
-    m, n = d_obs.shape
-    if w.shape != d_obs.shape:
-        raise ValueError(f"weights shape {w.shape} does not match observation {d_obs.shape}")
-    eta = step_size(bank.grid.sigma_max_pixels, w)
+    eta = step_size(bank.grid.sigma_max_pixels, check_weights_shape(w, d_obs.shape))
     kappa = 0.5 * eta * cfg.lam
 
-    a = np.zeros((bank.num_kernels, m, n))
+    a = np.zeros((bank.num_kernels, *d_obs.shape))
     step = np.zeros_like(a)  # b - a; the loop writes it in place, never a
-    plan = make_plan(bank, (m, n))
+    plan = make_plan(bank, d_obs.shape)
     # a_new - a, refilled each iteration. It shares the operators' workspace, which is
     # free for it: adjoint() runs before diff is refilled, forward() after step used it.
     diff = plan.workspace.reshape(a.shape)
     norm2_a = 0.0  # ||a||^2
-    fa = fb = np.zeros((m, n))  # forward(a) of the zero start
+    fa = fb = np.zeros(d_obs.shape)  # forward(a) of the zero start
     scale = -eta * np.square(w)  # the residual's factor in the gradient step
 
     objectives = []

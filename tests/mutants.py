@@ -143,6 +143,12 @@ MUTANTS = [
            id="tap_radius_finite"),
     Mutant("src/spotdeconv/solver.py", "np.square(wmax)", "wmax",
            "tests/test_solver.py::test_step_size_examples"),
+    Mutant("src/spotdeconv/solver.py", "if w.shape != shape:", "if w.shape[0] != shape[0]:",
+           "tests/test_solver.py::test_weights_shape_rule_on_the_library_path"),
+    Mutant("src/spotdeconv/solver.py", "0.0 < eta < np.inf", "0.0 <= eta < np.inf",
+           "tests/test_solver.py::test_step_size_refuses_a_zero_step"),
+    Mutant("src/spotdeconv/cli.py", "step_size(grid.sigma_max_pixels, uniform)", "None",
+           "tests/test_cli.py::test_synth_refuses_degenerate_uniform_weights"),
     Mutant("src/spotdeconv/solver.py", "(i - 1.0) / (i + chambolle_a - 1.0)",
            "(i - 1.0) / (i + chambolle_a)",
            "tests/test_solver.py::test_momentum_chambolle_table"),

@@ -807,6 +807,37 @@ def test_pipeline_checks_weights_file_before_synth(tmp_path, capsys, monkeypatch
     assert calls == [] and not out.exists()
 
 
+def test_synth_refuses_degenerate_uniform_weights(tmp_path, capsys):
+    # synth builds no weights image: load_config applies the solver's step rule
+    # to a uniform weight, so every command refuses it at load.
+    out = tmp_path / "out"
+    argv = ["synth", "--config", _write_config(tmp_path, weights={"uniform": 0.0}),
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: config field 'weights' must be ")
+    assert "degenerate weights" in err
+    assert not out.exists()
+
+
+def test_pipeline_checks_weights_step_before_synth(tmp_path, capsys, monkeypatch):
+    # The reader applies the solver's step rule too: an all-zero weights file of
+    # the scene's shape is refused, naming the file, before the scene is made.
+    calls = []
+    generate = cli.generate_scene
+    monkeypatch.setattr(cli, "generate_scene", lambda spec: calls.append(spec) or generate(spec))
+    w_path = tmp_path / "w.f64t"
+    codec.write_tensor(w_path, np.zeros((24, 24)))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", _write_config(tmp_path, weights={"file": str(w_path)}),
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {w_path}: weights must be ")
+    assert "degenerate weights" in err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 def test_missing_scene_exit_code(tmp_path, capsys, command):
     cfg = json.loads(Path(_write_config(tmp_path)).read_text())

@@ -113,6 +113,16 @@ def test_read_tensor_from_a_pipe(tmp_path):
         _read_from_pipe(data + b"\x00")
 
 
+def test_read_tensor_from_a_pipe_refuses_dims_whose_product_overflows():
+    # A pipe has no size to check the header's claim against before the
+    # allocation: numpy's refusal of the shape is the check there.
+    side = 2**40
+    header = b"SPTD" + struct.pack("<II3Q", 1, 3, side, side, side)
+    with pytest.raises(codec.CodecError,
+                       match=rf"^bad dimensions \({side}, {side}, {side}\) at byte offset 12: "):
+        _read_from_pipe(header)
+
+
 def test_read_tensor_allocates_one_payload(tmp_path):
     # The payload is read into the array returned: no copy of the file's bytes.
     path = tmp_path / "t.f64t"

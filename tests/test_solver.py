@@ -17,7 +17,7 @@ from spotdeconv.solver import (
     prox_group,
     step_size,
 )
-from spotdeconv.tensors import group_norm_image
+from spotdeconv.tensors import BoundError, group_norm_image
 
 from oracles import (
     coordinate_descent_minimize,
@@ -56,6 +56,13 @@ def test_step_size_examples():
 def test_step_size_degenerate():
     with pytest.raises(ValueError, match="degenerate weights"):
         step_size(1.0, np.zeros((2, 2)))
+
+
+def test_step_size_refuses_a_zero_step():
+    # max|w|^2 overflows to inf and the step to 0: the step must be > 0, not only finite.
+    # The BoundError names 'weights', so load_config words it as that config field.
+    with pytest.raises(BoundError, match=r"^weights must be .*degenerate weights give step 0\.0"):
+        step_size(1.0, np.full((2, 2), 1e160))
 
 
 def test_momentum_beck_table():
@@ -154,6 +161,17 @@ def test_objective_shape_mismatch():
     bank = build_kernel_bank(make_scale_grid(1.0, 1))
     with pytest.raises(ValueError):
         objective(np.zeros((4, 4, 1)), np.zeros((5, 5)), np.ones((5, 5)), bank, 0.0)
+
+
+def test_weights_shape_rule_on_the_library_path():
+    # apg_solve and objective apply the solver's shape rule themselves, with no
+    # caller to check the weights first: a 5x4 image for a 5x5 observation.
+    bank = build_kernel_bank(make_scale_grid(1.0, 2))
+    line = r"^weights shape \(5, 4\) does not match observation \(5, 5\)$"
+    with pytest.raises(ValueError, match=line):
+        apg_solve(np.ones((5, 5)), np.ones((5, 4)), bank, SolverConfig(lam=0.1))
+    with pytest.raises(ValueError, match=line):
+        objective(np.zeros((5, 5, 2)), np.ones((5, 5)), np.ones((5, 4)), bank, 0.1)
 
 
 def test_solve_zero_observation_fixed_point():
