@@ -2,10 +2,10 @@
 
 Each scale bin [s_{k-1}, s_k] gets one rank-1 kernel: a 1-D factor of
 pixel-integrated Gaussian taps at the bin midpoint scale, so the 2-D kernel
-is the outer product of that factor with itself. Taps are truncated at
-radius ceil(c * sigma_k) and deliberately not renormalized, which keeps the
-total 2-D kernel mass <= 1. The taps are differences of the standard
-library's math.erf at the pixel edges, so the package needs numpy alone.
+is the outer product of that factor with itself. Taps are truncated at radius
+ceil(min(c, 8.5) * sigma_k), all taps past 8.5 sigma being exactly 0.0, and
+deliberately not renormalized, which keeps the total 2-D kernel mass <= 1. The
+taps are differences of math.erf at the pixel edges, so numpy alone is needed.
 """
 
 import functools
@@ -20,6 +20,9 @@ from .tensors import require
 SIGMA_MIN = 0.05
 
 DEFAULT_TRUNCATION = 4.0
+# math.erf(x) is 1.0 in float64 from x ~ 5.9216, 8.37 sigma from the centre:
+# every tap further out is exactly 0.0, so no radius passes ERF_REACH sigmas.
+ERF_REACH = 8.5
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ def make_scale_grid(sigma_max_pixels, num_bins):
 
 
 def check_truncation(grid, truncation):
-    """The bank's rule for the tap radius ceil(truncation * sigma) of every bin:
-    finite for every sigma <= grid.sigma_max_pixels."""
+    """The bank's rule for truncation: finite and > 0, and finite times every
+    sigma <= grid.sigma_max_pixels."""
     require(0 < truncation < np.inf, "truncation", "finite and > 0", truncation)
     require(float(truncation) * grid.sigma_max_pixels < np.inf, "truncation",
             f"finite times sigma_max_pixels {grid.sigma_max_pixels!r}", truncation)
@@ -89,7 +92,7 @@ def gaussian_factor_1d(grid, k, truncation=DEFAULT_TRUNCATION):
         raise ValueError(f"bin index {k} out of range [0, {grid.num_bins})")
     check_truncation(grid, truncation)
     sigma = max(grid.midpoint(k), SIGMA_MIN)
-    radius = int(np.ceil(truncation * sigma))
+    radius = int(np.ceil(min(truncation, ERF_REACH) * sigma))
     scale = 1.0 / (np.sqrt(2.0) * sigma)
     edges = (np.arange(-radius, radius + 2) - 0.5) * scale
     cdf = np.array([math.erf(x) for x in edges.tolist()])

@@ -27,9 +27,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("src/spotdeconv/kernels.py", "radius = int(np.ceil(truncation * sigma))",
-           "radius = int(np.floor(truncation * sigma))",
+    Mutant("src/spotdeconv/kernels.py",
+           "radius = int(np.ceil(min(truncation, ERF_REACH) * sigma))",
+           "radius = int(np.floor(min(truncation, ERF_REACH) * sigma))",
            "tests/test_kernels.py::test_demo_bank_radii"),
+    Mutant("src/spotdeconv/kernels.py", "ERF_REACH = 8.5", "ERF_REACH = 6.0",
+           "tests/test_kernels.py::test_taps_stop_where_erf_does"),
+    Mutant("src/spotdeconv/kernels.py", "min(truncation, ERF_REACH)", "truncation",
+           "tests/test_cli.py::test_pipeline_files_do_not_grow_with_truncation"),
     Mutant("src/spotdeconv/kernels.py", "SIGMA_MIN = 0.05", "SIGMA_MIN = 0.06",
            "tests/test_kernels.py::test_clamped_bin_takes_sigma_min_taps"),
     Mutant("src/spotdeconv/cli.py", "noise_seed = spec.seed + 1", "noise_seed = spec.seed + 2",
@@ -72,6 +77,10 @@ MUTANTS = [
     Mutant("src/spotdeconv/convolution.py", "min(i0 + b + radius, size)",
            "min(i0 + b + radius - 1, size)",
            "tests/test_acceptance.py::test_criterion_5_tiny_instance_optimality"),
+    Mutant("src/spotdeconv/convolution.py",
+           "radius = min(max(f.radius for f in bank.factors), extent - 1)",
+           "radius = max(f.radius for f in bank.factors)",
+           "tests/test_convolution.py::test_bands_follow_the_image_not_the_truncation"),
     Mutant("src/spotdeconv/detection.py", "node = flat > 0.0", "node = flat >= 0.0",
            "tests/test_detection.py::test_zero_background_not_detected",
            id="test_zero_background_not_detected"),

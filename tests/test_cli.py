@@ -23,7 +23,7 @@ from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
 from spotdeconv.detection import Detection
 from spotdeconv.evaluation import match
-from spotdeconv.kernels import build_kernel_bank, make_scale_grid
+from spotdeconv.kernels import ERF_REACH, build_kernel_bank, make_scale_grid
 from spotdeconv.solver import SolverConfig, objective
 
 from oracles import reference_threshold_sweep
@@ -222,11 +222,11 @@ def test_load_config_any_field_value(tmp_path, dotted, value):
         return
     assert isinstance(run, RunConfig)
     assert np.isfinite([run.sigma_max_pixels, run.truncation, run.lam, run.rel_tol]).all()
-    # load_config accepts nothing the library rejects. A bank past these sizes
-    # takes memory and time in proportion (ROADMAP item 6); a bad truncation is
-    # small, so it is built, and a NaN product fails the size test.
+    # load_config accepts nothing the library rejects. The taps stop at
+    # ERF_REACH sigmas, but a bank past these sizes still takes memory and time
+    # in proportion to K and sigma in pixels (ROADMAP item 6).
     grid = make_scale_grid(run.sigma_max_pixels, run.num_scales)
-    if run.num_scales <= 64 and not run.truncation * run.sigma_max_pixels > 1e4:
+    if run.num_scales <= 64 and not min(run.truncation, ERF_REACH) * run.sigma_max_pixels > 1e4:
         build_kernel_bank(grid, run.truncation)
     SolverConfig(lam=run.lam, momentum=run.momentum, chambolle_a=run.chambolle_a,
                  max_iters=run.max_iters, rel_tol=run.rel_tol)
@@ -280,13 +280,13 @@ fuzz_values = (fuzz_scalars | st.lists(fuzz_scalars, max_size=3)
                | st.dictionaries(st.sampled_from(["uniform", "file", "x"]), fuzz_scalars,
                                  max_size=2)
                | st.just(DELETE))
-# Until the kernel bank is clipped to the image extent (ROADMAP item 6),
-# these values allocate memory in proportion: the volumes grow with
-# rows * cols * K, the tap arrays with truncation * sigma_max/delta_pix.
-# Of the values that take time in proportion, only max_iters is capped:
-# n_sources is bounded by rows * cols. A number above its cap is set to the cap.
-FUZZ_CAPS = {"scene.rows": 24, "scene.cols": 24, "K": 6, "truncation": 40, "sigma_max": 8,
-             "max_iters": 300}
+# These values allocate memory in proportion: the volumes grow with
+# rows * cols * K and, until the kernel bank is built for the image extent
+# (ROADMAP item 6), the tap arrays with sigma_max/delta_pix. The taps stop at
+# ERF_REACH sigmas, so truncation needs no cap. Of the values that take time
+# in proportion, only max_iters is capped: n_sources is bounded by
+# rows * cols. A number above its cap is set to the cap.
+FUZZ_CAPS = {"scene.rows": 24, "scene.cols": 24, "K": 6, "sigma_max": 8, "max_iters": 300}
 
 
 def _fuzz_edit(cfg, dotted, value):
@@ -340,6 +340,39 @@ def test_cli_contract_under_random_config_edits(tmp_path, capsys, edits):
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
                 assert "Traceback" not in err
                 assert not out.exists()
+
+
+def _child_env(**env):
+    """os.environ plus `env`, with this spotdeconv first on PYTHONPATH."""
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(spotdeconv.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+_MAIN_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from spotdeconv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_files_do_not_grow_with_truncation(tmp_path):
+    # Every tap past ERF_REACH sigmas is 0.0, so a truncation of 1e9 or 1e308
+    # writes the files of truncation 8.5, in that run's time and memory. Each
+    # run is a child process held to 1 GiB of address space, on one BLAS
+    # thread so that the BLAS buffers fit too.
+    files = {}
+    for truncation in (8.5, 1e9, 1e308):
+        path, out = tmp_path / f"{truncation}.json", tmp_path / f"out_{truncation}"
+        path.write_text(json.dumps(dict(FUZZ_CONFIG, truncation=truncation)))
+        run = subprocess.run(
+            [sys.executable, "-c", _MAIN_UNDER_1_GIB, "pipeline", "--config", str(path),
+             "--out-dir", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        files[truncation] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[8.5]) == sorted(cli.SCENE_FILES + cli.RUN_FILES)
+    assert files[1e9] == files[8.5] and files[1e308] == files[8.5]
 
 
 @pytest.mark.parametrize("overrides, px", [
@@ -929,10 +962,9 @@ def test_every_command_runs_without_scipy(tmp_path):
     # exits 0 and writes the same files as a run in this process.
     for argv in _demo_chain(tmp_path / "here"):
         assert main(argv) == 0
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(spotdeconv.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     script = _BLOCK_SCIPY.format(argv=_demo_chain(tmp_path / "blocked"))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                         text=True)
     assert run.returncode == 0, run.stderr
     assert "pipeline done: " in run.stdout
     for sub in ("chain", "pipe"):

@@ -190,23 +190,28 @@ def test_adjoint_slices_are_contiguous_correlations():
 
 
 def test_bands_follow_the_image_not_the_truncation():
-    # On a 16 x 16 image no tap further than 15 px from the centre meets a
-    # pixel: the bands are clipped there, so the operators give the same bits
-    # at both truncations, and one call's bands stay small (unclipped, the
-    # widest kernel's band alone would take ~27 MB per stack at 20,000).
+    # Truncations 4,000 and 20,000 both stop at ERF_REACH sigmas, so the two
+    # banks hold the same taps and the operators give the same bits. On a
+    # 16 x 16 image no tap further than 15 px from the centre meets a pixel:
+    # the plan clips the bands there, so one call's bands stay small. Only
+    # that clip bounds sigma_max 400 at truncation 4, whose widest radius is
+    # 1,400 px (unclipped, one call would take ~4 MB).
     grid = make_scale_grid(3.0, 4)
     banks = [build_kernel_bank(grid, truncation) for truncation in (4000.0, 20000.0)]
+    wide = build_kernel_bank(make_scale_grid(400.0, 4), 4.0)
+    assert wide.factors[-1].radius == 1400
     rng = np.random.default_rng(20)
     a = rng.standard_normal((16, 16, 4))
     r = rng.standard_normal((16, 16))
     for op, arg in ((forward, a), (adjoint, r)):
-        tracemalloc.start()
-        try:
-            got = op(arg, banks[1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        for bank in (wide, banks[1]):
+            tracemalloc.start()
+            try:
+                got = op(arg, bank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
         np.testing.assert_array_equal(got, op(arg, banks[0]))
 
 

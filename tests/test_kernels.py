@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from spotdeconv import kernels
 from spotdeconv.kernels import (
+    ERF_REACH,
     SIGMA_MIN,
     build_kernel_bank,
     gaussian_factor_1d,
@@ -121,6 +123,26 @@ def test_demo_bank_radii():
     # 1.125, 1.875 and 2.625: ceil of 1.5, 4.5, 7.5 and 10.5.
     bank = build_kernel_bank(make_scale_grid(3.0, 4))
     assert [f.radius for f in bank.factors] == [2, 5, 8, 11]
+
+
+def test_taps_stop_where_erf_does(monkeypatch):
+    # Past ERF_REACH sigmas math.erf is 1.0 at both edges of a tap, so every
+    # tap that the cap drops is exactly 0.0: at truncation 30 the factor is the
+    # centre of the uncapped one bit for bit, from SIGMA_MIN to ~380 px.
+    for num_bins in (1, 2, 5, 12):
+        for sigma_max in np.geomspace(0.08, 400.0, 24):
+            grid = make_scale_grid(sigma_max, num_bins)
+            capped = [gaussian_factor_1d(grid, k, 30.0) for k in range(num_bins)]
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "ERF_REACH", math.inf)
+                uncapped = [gaussian_factor_1d(grid, k, 30.0) for k in range(num_bins)]
+            for k, (factor, full) in enumerate(zip(capped, uncapped)):
+                sigma = max(grid.midpoint(k), SIGMA_MIN)
+                reach = math.ceil(ERF_REACH * sigma)
+                assert factor.radius == reach and full.radius == math.ceil(30.0 * sigma)
+                centre = slice(full.radius - reach, full.radius + reach + 1)
+                assert not np.delete(full.taps, centre).any()
+                assert factor.taps.tobytes() == full.taps[centre].tobytes()
 
 
 def test_bank_deterministic():
