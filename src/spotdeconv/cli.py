@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -278,7 +279,8 @@ def _write_scene(out_dir, a_true, d_obs, gt, meta):
 def _write_solve(result, out, trace):
     codec.write_tensor(out, result.a_opt)
     if trace is not None:
-        codec.write_table(trace, codec.TRACE_HEADER, enumerate(result.objectives, start=1))
+        codec.write_table(trace, codec.TRACE_HEADER,
+                          chain.from_iterable(enumerate(result.objectives, start=1)))
 
 
 def _write_evaluation(report_path, sweep_path, sweep, report, tol):
@@ -287,7 +289,7 @@ def _write_evaluation(report_path, sweep_path, sweep, report, tol):
     best = dict(zip(codec.SWEEP_HEADER, report), tolerance=tol)
     best["threshold"] = None if report.threshold == np.inf else report.threshold
     Path(report_path).write_text(_json(best))
-    codec.write_table(sweep_path, codec.SWEEP_HEADER, sweep)
+    codec.write_table(sweep_path, codec.SWEEP_HEADER, chain.from_iterable(sweep))
 
 
 def _print_cap(cfg, result):

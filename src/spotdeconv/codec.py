@@ -5,9 +5,9 @@ u32 ndim (2 or 3), ndim u64 dimensions, then the row-major (k fastest for
 3-D) float64 payload. Round-trips are bit-exact.
 
 CSV tables, all written by write_table: a header row, then rows of numbers.
-Detections ("row,col,pseudo_likelihood", each Detection written as the row
-it is) and ground truth ("row,col") are read back too; the solver trace and
-the threshold sweep are outputs only.
+Detections ("row,col,pseudo_likelihood", a (D, 3) array written row by row)
+and ground truth ("row,col") are read back too; the solver trace and the
+threshold sweep are outputs only.
 """
 
 import csv
@@ -19,12 +19,10 @@ from itertools import chain
 
 import numpy as np
 
-from .detection import Detection
-
 MAGIC = b"SPTD"
 VERSION = 1
 
-DETECTIONS_HEADER = list(Detection._fields)
+DETECTIONS_HEADER = ["row", "col", "pseudo_likelihood"]
 GROUND_TRUTH_HEADER = ["row", "col"]
 TRACE_HEADER = ["iteration", "objective"]
 SWEEP_HEADER = ["threshold", "TP", "FP", "FN", "precision", "recall", "f1"]
@@ -81,13 +79,14 @@ def read_tensor(path):
     return arr
 
 
-def write_table(path, header, rows):
-    """Write a headed CSV table, the mirror of _read_table: each value, a Python
-    or numpy int or float, as its str, the shortest string that reads back
-    bit-exactly. Lines end in CRLF, as the csv module writes them; no number
-    needs quoting. The table is formatted by one % over the flattened rows and
-    written once; %s is str, where numpy 2's repr would write np.float64(...)."""
-    values = tuple(chain.from_iterable(rows))
+def write_table(path, header, values):
+    """Write a headed CSV table, the mirror of _read_table, from its values in
+    row-major order: each value, a Python or numpy int or float, as its str,
+    the shortest string that reads back bit-exactly. Lines end in CRLF, as the
+    csv module writes them; no number needs quoting. The table is formatted by
+    one % over the values and written once; %s is str, where numpy 2's repr
+    would write np.float64(...)."""
+    values = tuple(values)
     line = ",".join(["%s"] * len(header)) + "\r\n"
     text = ",".join(header) + "\r\n" + (line * (len(values) // len(header))) % values
     with open(path, "w", newline="") as fh:
@@ -95,7 +94,9 @@ def write_table(path, header, rows):
 
 
 def write_detections_csv(path, dets):
-    write_table(path, DETECTIONS_HEADER, dets)
+    """Write the (D, 3) detections, or a list of rows, from one flat list of
+    floats, none of which the garbage collector tracks."""
+    write_table(path, DETECTIONS_HEADER, np.asarray(dets, dtype=np.float64).ravel().tolist())
 
 
 def _read_table(path, header):
@@ -129,11 +130,12 @@ def _read_table(path, header):
 
 
 def read_detections_csv(path):
-    return [Detection(*row) for row in _read_table(path, DETECTIONS_HEADER)]
+    """The detections as a (D, 3) float64 array, (0, 3) for a header alone."""
+    return np.array(_read_table(path, DETECTIONS_HEADER), dtype=np.float64).reshape(-1, 3)
 
 
 def write_ground_truth_csv(path, gt):
-    write_table(path, GROUND_TRUTH_HEADER, gt)
+    write_table(path, GROUND_TRUTH_HEADER, chain.from_iterable(gt))
 
 
 def read_ground_truth_csv(path):

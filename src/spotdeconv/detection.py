@@ -4,7 +4,8 @@ The per-pixel group norm of the volume acts as a pseudo-likelihood map; its
 regional maxima (8-connected plateaus of equal value strictly above every
 in-image neighbor) become detections. A multi-pixel plateau yields a single
 detection at its centroid. Zero-valued plateaus are background, never
-detections.
+detections. The detections are one (D, 3) float64 array whose rows are
+(row, col, pseudo_likelihood), the rows of the detections CSV.
 
 Maxima are found with numpy array passes, no Python loop over pixels. The
 nodes are the positive pixels of the map padded with zeros; a neighbor equal
@@ -16,20 +17,9 @@ maximum, and centroids come from bincount. The map must be finite: detect()
 rejects a volume whose group norms overflow.
 """
 
-from itertools import repeat
-from typing import NamedTuple
-
 import numpy as np
 
 from .tensors import group_norm_image
-
-
-class Detection(NamedTuple):
-    """One row of the detections CSV; equal to the tuple of its fields."""
-
-    row: float
-    col: float
-    pseudo_likelihood: float
 
 
 def _plateaus(u, v, size):
@@ -57,7 +47,7 @@ def _plateaus(u, v, size):
 
 
 def regional_maxima(p):
-    """Detections at the centroids of 8-connected regional-maximum plateaus.
+    """The (D, 3) detections at the centroids of 8-connected regional-maximum plateaus.
 
     A plateau is a maximal connected set of equal value v > 0; it is a
     regional maximum when every in-image pixel adjacent to it has value < v.
@@ -97,9 +87,7 @@ def regional_maxima(p):
 
     row_c, col_c, value = row_c[keep], col_c[keep], value[keep]
     order = np.lexsort((col_c, row_c, -value))
-    # tuple.__new__ builds each row in C, without _make's Python frame per row.
-    return list(map(tuple.__new__, repeat(Detection), zip(
-        row_c[order].tolist(), col_c[order].tolist(), value[order].tolist())))
+    return np.column_stack((row_c[order], col_c[order], value[order]))
 
 
 def detect(a):

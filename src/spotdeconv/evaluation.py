@@ -1,10 +1,11 @@
 """Greedy detection/ground-truth matching and F1-based threshold selection.
 
-Detections are scored in (-p, row, col) order whatever order the caller
-passes them in, each matched to its nearest unmatched ground-truth point
-within a Euclidean tolerance (default DEFAULT_TOL, in pixels). best_threshold
-sweeps every detection value plus +inf and keeps the report with maximal
-F1, breaking ties toward the largest threshold.
+Detections, a (D, 3) array or a list of (row, col, p) rows, are scored in
+(-p, row, col) order whatever order the caller passes them in, each matched
+to its nearest unmatched ground-truth point within a Euclidean tolerance
+(default DEFAULT_TOL, in pixels). best_threshold sweeps every detection
+value plus +inf and keeps the report with maximal F1, breaking ties toward
+the largest threshold.
 
 Greedy matching in that order is prefix-stable: lowering the threshold only
 appends detections, and earlier matches never change. So the whole sweep is
@@ -20,7 +21,7 @@ pass stops once every source is taken. So its cost follows the detections
 near a source, not the detection count.
 """
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ PAIR_CHUNK = 1 << 16  # candidate (detection, source) pairs tested at once
 
 def _greedy_pass(dets, gt, tol):
     """Match detections in (-p, row, col) order; returns (order, p, took):
-    the detection indices into the caller's list in that order, their p, and
+    the detection indices into the caller's rows in that order, their p, and
     a dict from each matching position in that order, ascending, to the
     ground-truth index it took.
 
@@ -67,8 +68,8 @@ def _greedy_pass(dets, gt, tol):
     order and never split one's pairs, so the walk goes chunk by chunk, and
     it stops once every source is taken.
     """
-    # The Detection rows (row, col, p); fromiter is ~5x faster than asarray on tuples.
-    dets = np.fromiter(chain.from_iterable(dets), np.float64).reshape(-1, 3)
+    # The (D, 3) detections, or a list of (row, col, p) rows; no copy for a float64 array.
+    dets = np.asarray(dets, dtype=np.float64).reshape(-1, 3)
     # A p of -0.0 goes after an equal 0.0, so a run's last p does not depend on input order.
     order = np.lexsort((np.signbit(dets[:, 2]), dets[:, 1], dets[:, 0], -dets[:, 2]))
     rows, cols, p = dets[order].T
@@ -133,8 +134,8 @@ def prf1(tp, fp, fn):
 
 
 def evaluate_at(dets, gt, threshold, tol=DEFAULT_TOL):
-    kept = [d for d in dets if d.pseudo_likelihood >= threshold]
-    tp, fp, fn, _ = match(kept, gt, tol)
+    dets = np.asarray(dets, dtype=np.float64).reshape(-1, 3)
+    tp, fp, fn, _ = match(dets[dets[:, 2] >= threshold], gt, tol)
     return EvalReport(threshold, tp, fp, fn, *prf1(tp, fp, fn))
 
 

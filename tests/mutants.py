@@ -173,6 +173,15 @@ MUTANTS = [
            "report.threshold", "tests/test_cli.py::test_report_json_bytes"),
     Mutant("src/spotdeconv/evaluation.py", "np.maximum(hi - lo, 0)", "hi - lo",
            "tests/test_evaluation.py::test_negative_tol_matches_nothing"),
+    Mutant("src/spotdeconv/detection.py",
+           "return np.column_stack((row_c[order], col_c[order], value[order]))",
+           "return list(zip(row_c[order].tolist(), col_c[order].tolist(), value[order].tolist()))",
+           "tests/test_detection.py::test_detect_and_csv_make_no_object_per_detection"),
+    Mutant("src/spotdeconv/detection.py", "np.column_stack((row_c[order], col_c[order],",
+           "np.column_stack((col_c[order], row_c[order],",
+           "tests/test_detection.py::test_two_pixel_plateau_centroid"),
+    Mutant("src/spotdeconv/codec.py", ".ravel().tolist()", '.ravel(order="F").tolist()',
+           "tests/test_codec.py::test_detections_csv_roundtrip"),
 ]
 
 

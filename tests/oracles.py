@@ -12,12 +12,20 @@ flood-fill regional-maxima detector.
 import math
 from collections import deque
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import convolve1d, correlate1d
 
 from spotdeconv.convolution import adjoint, forward
-from spotdeconv.detection import Detection
+
+
+class Detection(NamedTuple):
+    """One detection row, (row, col, pseudo_likelihood), with named fields."""
+
+    row: float
+    col: float
+    pseudo_likelihood: float
 
 
 def dense_conv2d(img, taps):

@@ -10,7 +10,7 @@ import pytest
 
 from spotdeconv.cli import load_config, main
 from spotdeconv.convolution import adjoint, forward
-from spotdeconv.detection import Detection, detect
+from spotdeconv.detection import detect
 from spotdeconv.evaluation import best_threshold, evaluate_at, threshold_sweep
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
 from spotdeconv.solver import (
@@ -27,6 +27,7 @@ from spotdeconv.synth import SceneSpec, generate_scene, render_observation
 from spotdeconv.tensors import group_norm_image
 
 from oracles import (
+    Detection,
     coordinate_descent_minimize,
     grid_refine_minimize,
     naive_objective,

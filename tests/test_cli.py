@@ -21,12 +21,11 @@ from hypothesis.extra.numpy import arrays
 import spotdeconv
 from spotdeconv import cli, codec
 from spotdeconv.cli import ConfigError, RunConfig, load_config, main
-from spotdeconv.detection import Detection
 from spotdeconv.evaluation import match
 from spotdeconv.kernels import ERF_REACH, build_kernel_bank, make_scale_grid
 from spotdeconv.solver import SolverConfig, objective
 
-from oracles import reference_threshold_sweep
+from oracles import Detection, reference_threshold_sweep
 
 
 def _write_config(tmp_path, **overrides):

@@ -2,6 +2,7 @@ import os
 import struct
 import threading
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from spotdeconv import codec
-from spotdeconv.detection import Detection
+
+from oracles import Detection
 
 
 def test_roundtrip_random_tensors(tmp_path):
@@ -196,7 +198,15 @@ def test_detections_csv_roundtrip(tmp_path):
     ]
     codec.write_detections_csv(path, dets)
     assert path.read_text().splitlines()[0] == "row,col,pseudo_likelihood"
-    assert codec.read_detections_csv(path) == dets
+    assert codec.read_detections_csv(path).tolist() == [list(d) for d in dets]
+
+
+def test_detections_csv_header_alone_is_empty_table(tmp_path):
+    path = tmp_path / "det.csv"
+    codec.write_detections_csv(path, np.empty((0, 3)))
+    assert path.read_bytes() == b"row,col,pseudo_likelihood\r\n"
+    back = codec.read_detections_csv(path)
+    assert back.shape == (0, 3) and back.dtype == np.float64
 
 
 def test_detection_is_its_csv_row(tmp_path):
@@ -208,7 +218,7 @@ def test_detection_is_its_csv_row(tmp_path):
     path = tmp_path / "det.csv"
     codec.write_detections_csv(path, dets)
     back = codec.read_detections_csv(path)
-    assert back == dets
+    assert back.tolist() == [list(d) for d in dets]
     assert np.array(back).tobytes() == np.array(dets).tobytes()
 
 
@@ -226,7 +236,7 @@ def test_write_table_is_bit_exact(tmp_path):
     path = tmp_path / "gt.csv"
     codec.write_ground_truth_csv(path, points)  # rows of numpy float64 scalars
     assert codec.read_ground_truth_csv(path) == [tuple(p) for p in points.tolist()]
-    codec.write_table(path, codec.TRACE_HEADER, [(1, 0.1), (np.int64(2), np.float64(1e-300))])
+    codec.write_table(path, codec.TRACE_HEADER, [1, 0.1, np.int64(2), np.float64(1e-300)])
     assert path.read_bytes() == b"iteration,objective\r\n1,0.1\r\n2,1e-300\r\n"
 
 
@@ -249,7 +259,7 @@ def test_write_table_bytes(tmp_path):
         (0, np.float64(-0.0), 5e-324),
     ]
     path = tmp_path / "t.csv"
-    codec.write_table(path, ["a", "b", "c"], rows)
+    codec.write_table(path, ["a", "b", "c"], chain.from_iterable(rows))
     assert path.read_bytes() == (
         b"a,b,c\r\n1,0.1,2.5e-300\r\n2,0.1,1e+300\r\n-3,inf,inf\r\n0,-0.0,5e-324\r\n")
     codec.write_table(path, ["a", "b", "c"], [])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spotdeconv import evaluation
-from spotdeconv.detection import Detection
 from spotdeconv.evaluation import (
     best_threshold,
     evaluate_at,
@@ -12,6 +11,8 @@ from spotdeconv.evaluation import (
     prf1,
     threshold_sweep,
 )
+
+from oracles import Detection
 
 
 def _det(r, c, p):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from spotdeconv.convolution import BLOCK, adjoint, forward, make_plan
-from spotdeconv.detection import Detection, regional_maxima
-from spotdeconv.evaluation import match, prf1, threshold_sweep
+from spotdeconv.detection import regional_maxima
+from spotdeconv.evaluation import evaluate_at, match, prf1, threshold_sweep
 from spotdeconv.kernels import Kernel1D, KernelBank, build_kernel_bank, make_scale_grid
 from spotdeconv.solver import (
     BECK, CHAMBOLLE, NO_MOMENTUM, SolverConfig, _shrink, apg_solve, prox_group,
@@ -16,6 +16,7 @@ from spotdeconv.solver import (
 from spotdeconv.tensors import group_norm_image
 
 from oracles import (
+    Detection,
     dense_conv2d,
     ndimage_conv2d,
     reference_match,
@@ -180,6 +181,17 @@ def test_sweep_and_match_equal_reference_off_grid(dets, gt, tol):
         tp, fp, fn, {order[k]: gi for k, gi in pairing.items()})
 
 
+@settings(max_examples=300)
+@given(spread_detections, spread_ground_truth, spread_tolerance)
+def test_array_and_row_list_score_alike(dets, gt, tol):
+    # detect's (D, 3) array and a list of (row, col, p) rows are one input.
+    table = np.asarray(dets)
+    assert threshold_sweep(table, gt, tol) == threshold_sweep(dets, gt, tol)
+    assert match(table, gt, tol) == match(dets, gt, tol)
+    for threshold in (0.0, 0.5, math.inf):
+        assert evaluate_at(table, gt, threshold, tol) == evaluate_at(dets, gt, threshold, tol)
+
+
 # Few levels make plateaus, ties and plateaus split by a higher pixel common.
 level_images = arrays(
     np.float64,
@@ -222,7 +234,7 @@ def _serpentine():
 # A positive plateau whose neighbors are all negative or off the image.
 @example(np.array([[1.0, 1.0, -1.0], [-1.0, -0.0, -1.0]]))
 def test_regional_maxima_equals_reference(p):
-    assert regional_maxima(p) == reference_regional_maxima(p)
+    assert regional_maxima(p).tolist() == [list(d) for d in reference_regional_maxima(p)]
 
 
 # Image sides on both sides of one and two GEMM blocks, and anything up to 70;
