@@ -27,7 +27,16 @@ in the loop: a, a_new (adjoint()'s fresh buffer), step and diff, both
 refilled in place. diff is a view of the workspace of the one convolution
 Plan that the solve makes and passes to every call, so no call rebuilds
 its GEMM views. progress() sees (M, N, K) views, and a_opt is a
-C-contiguous (M, N, K) copy made once per solve.
+C-contiguous (M, N, K) copy made once per solve. The image-sized steps
+run in place too: forward(b) in fb, and one image that holds the scaled
+residual for adjoint(), then the weighted residual of the fidelity.
+
+The loop's dot products (||diff||^2, <step, diff> and the shrink's
+||a_new||^2) are einsum reductions, in numpy's own single-threaded loop,
+not BLAS ddot calls: OpenBLAS splits a ddot over more than 10,000 values
+across its threads, which changes the sum's rounding. So no thread count
+changes a scalar that the loop decides on. Only forward() and adjoint()
+still call BLAS, for their GEMMs.
 
 The one other exit is overflow: a non-finite objective or relative change
 raises FloatingPointError, with numpy's warnings off whoever calls. A
@@ -122,7 +131,7 @@ def momentum_alpha(scheme, i, state=None, chambolle_a=3.0):
         raise ValueError(f"iteration index must be >= 1, got {i}")
     if scheme == BECK:
         t = 1.0 if state is None else state
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         return (t - 1.0) / t_next, t_next
     if scheme == CHAMBOLLE:
         return (i - 1.0) / (i + chambolle_a - 1.0), None
@@ -138,7 +147,7 @@ def _shrink(v, kappa):
     the input norms rho."""
     rho = np.sqrt(np.einsum("kmn,kmn->mn", v, v))
     shrunk = np.maximum(rho - kappa, 0.0)
-    sums = float(shrunk.sum()), float(np.vdot(shrunk, shrunk))
+    sums = float(shrunk.sum()), float(np.einsum("mn,mn->", shrunk, shrunk))
     # shrunk is 0 wherever rho is 0 (kappa >= 0): dividing by rho raised to the
     # least positive double gives the masked quotient (0 there) bit for bit.
     shrunk /= np.maximum(rho, _LEAST_POSITIVE, out=rho)
@@ -188,7 +197,8 @@ def apg_solve(d_obs, w, bank, cfg, progress: Optional[Callable] = None):
     # free for it: adjoint() runs before diff is refilled, forward() after step used it.
     diff = plan.workspace.reshape(a.shape)
     norm2_a = 0.0  # ||a||^2
-    fa = fb = np.zeros(d_obs.shape)  # forward(a) of the zero start
+    fa, fb = np.zeros(d_obs.shape), np.zeros(d_obs.shape)  # forward(a), forward(b) at a = 0
+    res = np.empty(d_obs.shape)  # the scaled residual, then the weighted fidelity residual
     scale = -eta * np.square(w)  # the residual's factor in the gradient step
 
     objectives = []
@@ -197,25 +207,32 @@ def apg_solve(d_obs, w, bank, cfg, progress: Optional[Callable] = None):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported once, below
         for i in range(1, cfg.max_iters + 1):
             # Steps 1-3 in place on the volume that adjoint() returns.
-            a_new = adjoint(scale * (fb - d_obs), bank, plan=plan).transpose(2, 0, 1)
+            np.subtract(fb, d_obs, out=res)
+            res *= scale
+            a_new = adjoint(res, bank, plan=plan).transpose(2, 0, 1)
             a_new += a
             a_new += step
             np.maximum(a_new, 0.0, out=a_new)
             regularizer, norm2_new = _shrink(a_new, kappa)
 
             np.subtract(a_new, a, out=diff)
-            norm2_diff = float(np.vdot(diff, diff))
+            norm2_diff = float(np.einsum("kmn,kmn->", diff, diff))
             rel_change = math.sqrt(norm2_diff) / max(math.sqrt(norm2_a), 1e-12)
-            if np.vdot(step, diff) - norm2_diff > 0:  # <b - a_new, diff> > 0: restart
+            # Restart when <b - a_new, diff> > 0.
+            if np.einsum("kmn,kmn->", step, diff) - norm2_diff > 0:
                 restarts, start, mom_state = restarts + 1, i - 1, None
             alpha, mom_state = momentum_alpha(cfg.momentum, i - start, mom_state, cfg.chambolle_a)
             np.multiply(diff, alpha, out=step)
 
             fa_new = forward(a_new.transpose(1, 2, 0), bank, plan=plan)
-            fb = fa_new + alpha * (fa_new - fa)  # forward(b), by linearity
-            fidelity = np.sum(np.square(w * (d_obs - fa_new)))
+            np.subtract(fa_new, fa, out=fb)  # forward(b), by linearity
+            fb *= alpha
+            fb += fa_new
+            np.subtract(d_obs, fa_new, out=res)
+            res *= w
+            fidelity = np.sum(np.square(res, out=res))
             objectives.append(float(fidelity + cfg.lam * regularizer))
-            if not (np.isfinite(objectives[-1]) and np.isfinite(rel_change)):
+            if not (math.isfinite(objectives[-1]) and math.isfinite(rel_change)):
                 raise FloatingPointError(
                     f"divergence: float64 overflow at iteration {i} "
                     f"(objective {objectives[-1]!r}): the step is too large for the kernels, "

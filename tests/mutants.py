@@ -54,8 +54,9 @@ MUTANTS = [
     Mutant("src/spotdeconv/solver.py", "max(math.sqrt(norm2_a), 1e-12)",
            "max(math.sqrt(norm2_a), 1e-6)",
            "tests/test_properties.py::test_progress_rel_change_is_relative_step"),
-    Mutant("src/spotdeconv/solver.py", "if np.vdot(step, diff) - norm2_diff > 0:",
-           "if np.vdot(step, diff) - norm2_diff >= 0:",
+    Mutant("src/spotdeconv/solver.py",
+           'if np.einsum("kmn,kmn->", step, diff) - norm2_diff > 0:',
+           'if np.einsum("kmn,kmn->", step, diff) - norm2_diff >= 0:',
            "tests/test_solver.py::test_solve_zero_observation_fixed_point"),
     Mutant("src/spotdeconv/solver.py", "restarts, start, mom_state = restarts + 1, i - 1, None",
            "restarts, start = restarts + 1, i - 1",
@@ -182,6 +183,14 @@ MUTANTS = [
            "tests/test_detection.py::test_two_pixel_plateau_centroid"),
     Mutant("src/spotdeconv/codec.py", ".ravel().tolist()", '.ravel(order="F").tolist()',
            "tests/test_codec.py::test_detections_csv_roundtrip"),
+    Mutant("src/spotdeconv/solver.py", 'float(np.einsum("kmn,kmn->", diff, diff))',
+           "float(np.vdot(diff, diff))",
+           "tests/test_solver.py::test_solve_scalars_do_not_depend_on_blas_threads",
+           id="norm2_diff_off_blas"),
+    Mutant("src/spotdeconv/solver.py", 'float(np.einsum("mn,mn->", shrunk, shrunk))',
+           "float(np.vdot(shrunk, shrunk))",
+           "tests/test_solver.py::test_solve_scalars_do_not_depend_on_blas_threads",
+           id="shrink_norm2_off_blas"),
 ]
 
 

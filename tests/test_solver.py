@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spotdeconv
 from spotdeconv import convolution, solver
 from spotdeconv.convolution import adjoint, forward, make_plan
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
@@ -516,3 +522,43 @@ def test_one_plan_per_solve(monkeypatch):
     res = apg_solve(d_obs, w, bank, SolverConfig(lam=lam, max_iters=60))
     assert res.iterations > 1
     assert calls == [d_obs.shape]
+
+
+_SOLVE_WITH_PROGRESS = """
+import json, sys
+from spotdeconv import cli
+from spotdeconv.solver import apg_solve
+cfg = cli.load_config(sys.argv[1])
+bank = cli._kernel_bank(cfg)
+d_obs = cli.run_synth(cfg, bank)[1]
+rel = []
+res = apg_solve(d_obs, cli._weights_image(cfg, d_obs.shape), bank, cfg,
+                progress=lambda i, rel_change, a: rel.append(rel_change))
+print(json.dumps([rel, res.final_rel_change, res.iterations, res.restarts]))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
+def test_solve_scalars_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product over 10,000 values across its threads, which
+    # changes its rounding. The loop's dots are einsum, so every rel_change, and
+    # each restart and stop decision made from them, is the same at any thread count.
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    cfg["scene"].update(rows=128, cols=128, n_sources=32)
+    cfg["max_iters"] = 60
+    config = tmp_path / "demo128.json"
+    config.write_text(json.dumps(cfg))
+    path = os.pathsep.join(filter(None, [str(Path(spotdeconv.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", _SOLVE_WITH_PROGRESS, str(config)], capture_output=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path), text=True,
+            timeout=120)
+        assert run.returncode == 0, run.stderr
+        runs.append(json.loads(run.stdout))
+    (rel_1, *ends_1), (rel_2, *ends_2) = runs
+    assert len(rel_1) == ends_1[1] == 60  # iterations
+    assert rel_1 == rel_2
+    assert ends_1 == ends_2  # final_rel_change, iterations, restarts
