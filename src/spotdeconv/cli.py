@@ -90,11 +90,11 @@ def load_config(path):
     """Parse and check a whole config, scene block included: JSON shape and types
     here, each bound in the library constructor that owns it, run here too."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config {path} cannot be read: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")

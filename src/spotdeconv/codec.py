@@ -5,9 +5,10 @@ u32 ndim (2 or 3), ndim u64 dimensions, then the row-major (k fastest for
 3-D) float64 payload. Round-trips are bit-exact.
 
 CSV tables, all written by write_table: a header row, then rows of numbers.
-Detections ("row,col,pseudo_likelihood", a (D, 3) array written row by row)
-and ground truth ("row,col") are read back too; the solver trace and the
-threshold sweep are outputs only.
+Detections ("row,col,pseudo_likelihood") and ground truth ("row,col") are
+written from and read back as (D, 3) and (G, 2) float64 arrays; the solver
+trace and the threshold sweep are outputs only. An unreadable table, not
+UTF-8 text included, raises ValueError naming its file and, past the header, its line.
 """
 
 import csv
@@ -15,7 +16,6 @@ import math
 import os
 import stat
 import struct
-from itertools import chain
 
 import numpy as np
 
@@ -93,50 +93,53 @@ def write_table(path, header, values):
         fh.write(text)
 
 
+def _read_table(path, header):
+    """A headed CSV table of finite numbers as a (rows, len(header)) float64 array.
+
+    Any fault, a field past the csv module's limit included, raises ValueError
+    naming the file and, past the header, the line its record starts on. A byte
+    that is not UTF-8 reads as a lone surrogate, which no header or number holds.
+    """
+    rows, line = [], 1  # line: where the record being read starts
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"{path}: expected header {','.join(header)!r}, got {found}")
+            line = reader.line_num + 1
+            for row in reader:
+                where = f"{path}, line {line}"
+                if len(row) != len(header):
+                    raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    values = [float(v) for v in row]
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric value in {row}") from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{where}: non-finite value in {row}")
+                rows.append(values)
+                line = reader.line_num + 1
+        except csv.Error as exc:  # a stray quote, a field past the module's limit
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, len(header))
+
+
 def write_detections_csv(path, dets):
     """Write the (D, 3) detections, or a list of rows, from one flat list of
     floats, none of which the garbage collector tracks."""
     write_table(path, DETECTIONS_HEADER, np.asarray(dets, dtype=np.float64).ravel().tolist())
 
 
-def _read_table(path, header):
-    """Rows of a headed CSV table as lists of finite floats.
-
-    A wrong header, a row of the wrong width, or a value that is not a
-    finite number raises ValueError naming the file and line number.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(
-                f"{path}: expected header {','.join(header)!r}, got {found}"
-            )
-        rows = []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric value in {row}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{where}: non-finite value in {row}")
-            rows.append(values)
-    return rows
-
-
 def read_detections_csv(path):
     """The detections as a (D, 3) float64 array, (0, 3) for a header alone."""
-    return np.array(_read_table(path, DETECTIONS_HEADER), dtype=np.float64).reshape(-1, 3)
+    return _read_table(path, DETECTIONS_HEADER)
 
 
 def write_ground_truth_csv(path, gt):
-    write_table(path, GROUND_TRUTH_HEADER, chain.from_iterable(gt))
+    write_table(path, GROUND_TRUTH_HEADER, np.asarray(gt, dtype=np.float64).ravel().tolist())
 
 
 def read_ground_truth_csv(path):
-    return [(r, c) for r, c in _read_table(path, GROUND_TRUTH_HEADER)]
+    """The ground truth as a (G, 2) float64 array, (0, 2) for a header alone."""
+    return _read_table(path, GROUND_TRUTH_HEADER)

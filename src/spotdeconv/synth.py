@@ -1,8 +1,10 @@
-"""Synthetic scenes: pixel-sparse source volumes and noisy observations.
+"""Synthetic scenes: pixel-sparse source volumes, their ground truth, and noise.
 
 Stands in for real assay data. Sources are placed by rejection sampling
 with a minimum pairwise separation; each source deposits its amplitude in
-one scale slice (or a given per-slice profile). All randomness comes from
+one scale slice (or a given per-slice profile); the ground truth is their
+(row, col) as one (G, 2) float64 array. Nothing here renders: cli.run_synth
+makes the observation, forward then add_noise. All randomness comes from
 numpy's PCG64 generator seeded explicitly, so scenes are reproducible.
 """
 
@@ -11,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convolution import forward
 from .tensors import require
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -66,7 +67,7 @@ class SceneSpec:
 
 
 def generate_scene(spec):
-    """Place n_sources pixel-sparse groups; returns (a_true, ground_truth).
+    """Place n_sources pixel-sparse groups; returns (a_true, (n_sources, 2) ground truth).
 
     Raises RuntimeError if the separation constraint cannot be met within
     max(10000, rows * cols) attempts; at once when a placement leaves too
@@ -110,8 +111,7 @@ def generate_scene(spec):
         else:
             a_true[r, c, :] += amplitude * profile
 
-    gt = [(float(r), float(c)) for r, c in positions]
-    return a_true, gt
+    return a_true, np.array(positions, dtype=np.float64).reshape(-1, 2)
 
 
 def _room(free, separation):
@@ -128,8 +128,3 @@ def add_noise(clean, noise_sigma, seed):
     """`clean` plus i.i.d. Gaussian noise of std `noise_sigma` (not clamped at 0)."""
     rng = np.random.default_rng(seed)
     return clean + noise_sigma * rng.standard_normal(clean.shape)
-
-
-def render_observation(a_true, bank, noise_sigma, seed):
-    """Clean forward image plus i.i.d. Gaussian noise (not clamped at 0)."""
-    return add_noise(forward(a_true, bank), noise_sigma, seed)

@@ -181,7 +181,8 @@ MUTANTS = [
     Mutant("src/spotdeconv/detection.py", "np.column_stack((row_c[order], col_c[order],",
            "np.column_stack((col_c[order], row_c[order],",
            "tests/test_detection.py::test_two_pixel_plateau_centroid"),
-    Mutant("src/spotdeconv/codec.py", ".ravel().tolist()", '.ravel(order="F").tolist()',
+    Mutant("src/spotdeconv/codec.py", "DETECTIONS_HEADER, np.asarray(dets, dtype=np.float64).ravel()",
+           'DETECTIONS_HEADER, np.asarray(dets, dtype=np.float64).ravel(order="F")',
            "tests/test_codec.py::test_detections_csv_roundtrip"),
     Mutant("src/spotdeconv/solver.py", 'float(np.einsum("kmn,kmn->", diff, diff))',
            "float(np.vdot(diff, diff))",
@@ -191,6 +192,26 @@ MUTANTS = [
            "float(np.vdot(shrunk, shrunk))",
            "tests/test_solver.py::test_solve_scalars_do_not_depend_on_blas_threads",
            id="shrink_norm2_off_blas"),
+    Mutant("src/spotdeconv/synth.py", "np.array(positions, dtype=np.float64).reshape(-1, 2)",
+           "np.array(positions, dtype=np.float64)", "tests/test_synth.py::test_zero_sources"),
+    Mutant("src/spotdeconv/codec.py", "except csv.Error as exc:", "except LookupError as exc:",
+           "tests/test_cli.py::test_evaluate_rejects_bad_csv_rows", id="csv_error_names_the_file"),
+    Mutant("src/spotdeconv/codec.py", ', errors="surrogateescape")', ")",
+           "tests/test_cli.py::test_evaluate_rejects_bad_csv_rows", id="csv_not_utf8_fails_its_line"),
+    Mutant("src/spotdeconv/codec.py", "line = reader.line_num + 1\n            for row",
+           "for row", "tests/test_cli.py::test_evaluate_rejects_bad_csv_rows",
+           id="csv_line_after_the_header"),
+    Mutant("src/spotdeconv/codec.py", "rows.append(values)\n                line = reader.line_num + 1",
+           "rows.append(values)", "tests/test_cli.py::test_evaluate_rejects_bad_csv_rows",
+           id="csv_line_where_the_record_starts"),
+    Mutant("src/spotdeconv/cli.py",
+           "except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:",
+           "except (json.JSONDecodeError, RecursionError) as exc:",
+           "tests/test_cli.py::test_unloadable_config_exit_code", id="config_not_utf8"),
+    Mutant("src/spotdeconv/cli.py",
+           "except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:",
+           "except (json.JSONDecodeError, UnicodeDecodeError) as exc:",
+           "tests/test_cli.py::test_unloadable_config_exit_code", id="config_nested_too_deep"),
 ]
 
 

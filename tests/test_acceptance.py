@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from spotdeconv.cli import load_config, main
+from spotdeconv.cli import load_config, main, run_synth
 from spotdeconv.convolution import adjoint, forward
 from spotdeconv.detection import detect
 from spotdeconv.evaluation import best_threshold, evaluate_at, threshold_sweep
@@ -23,7 +23,6 @@ from spotdeconv.solver import (
     objective,
     prox_group,
 )
-from spotdeconv.synth import SceneSpec, generate_scene, render_observation
 from spotdeconv.tensors import group_norm_image
 
 from oracles import (
@@ -46,14 +45,7 @@ def _report(name, ok, detail=""):
 def _demo_problem():
     cfg = load_config(DEMO_CONFIG)
     bank = build_kernel_bank(make_scale_grid(cfg.sigma_max_pixels, cfg.num_scales), cfg.truncation)
-    spec = SceneSpec(
-        rows=64, cols=64, depth=4, n_sources=8, min_separation=18.0,
-        amplitude_lo=5.0, amplitude_hi=10.0, noise_sigma=0.0, seed=cfg.scene.seed,
-    )
-    a_true, gt = generate_scene(spec)
-    clean = render_observation(a_true, bank, 0.0, 0)
-    sigma = 0.01 * float(np.max(clean))
-    d_obs = render_observation(a_true, bank, sigma, cfg.scene.seed + 1)
+    _, d_obs, gt, _ = run_synth(cfg, bank)
     return cfg, bank, d_obs, gt
 
 

@@ -78,15 +78,19 @@ def test_load_config_bad_weights(tmp_path):
     ("directory", "cannot be read: [Errno 21]"),
     ("invalid-json", "is not valid JSON: Expecting"),
     ("json-array", "must be a JSON object"),
+    ("non-utf8", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("nested", "is not valid JSON: maximum recursion depth exceeded"),
 ])
 def test_unloadable_config_exit_code(tmp_path, capsys, case, problem):
     # load_config refuses a config file it cannot read or parse with one line
-    # naming the file, before the pipeline makes its out-dir.
+    # naming the file, before the pipeline makes its out-dir: not UTF-8 text
+    # and JSON nested too deep for the decoder included.
     path = tmp_path / "cfg.json"
     if case == "directory":
         path.mkdir()
     elif case != "missing":
-        path.write_text({"invalid-json": '{"K": 2,', "json-array": "[]"}[case])
+        path.write_bytes({"invalid-json": b'{"K": 2,', "json-array": b"[]",
+                          "non-utf8": b'{"K": \xff}', "nested": b"[" * 100_000}[case])
     out = tmp_path / "p"
     rc = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
     err = capsys.readouterr().err
@@ -1158,12 +1162,25 @@ def test_solve_detect_contract_under_random_files(tmp_path, capsys, obs, volume,
      "line 2: non-numeric value"),
     ("ground_truth", "row,col\n1.0,2.0\ninf,2.0\n", "line 3: non-finite value"),
     ("ground_truth", "row,col\n1.0\n", "line 2: expected 2 fields, got 1"),
+    # A stray quote makes the rest of the file one field, past the csv module's
+    # limit: the line is where that record starts, not where the limit was hit.
+    pytest.param("detections",
+                 'row,col,pseudo_likelihood\n"1.0,2.0,0.5\n' + "1.0,2.0,0.5\n" * 20_000,
+                 "line 2: field larger than field limit", id="detections-stray-quote"),
+    pytest.param("ground_truth", "row,col\n1.0,2.0\n" + "1" * 200_000 + ",2.0\n",
+                 "line 3: field larger than field limit", id="ground_truth-long-field"),
+    # Not UTF-8 text: the byte reads as a lone surrogate, and its own line fails.
+    pytest.param("detections", b"row,col,pseudo_likelihood\r\n1.0,2.0,0.5\r\n1.0,\xff,0.5\r\n",
+                 "line 3: non-numeric value in ['1.0', '\\udcff', '0.5']",
+                 id="detections-not-utf8"),
+    pytest.param("ground_truth", b"row,col\n\xff1.0,2.0\n",
+                 "line 2: non-numeric value in ['\\udcff1.0', '2.0']", id="ground_truth-not-utf8"),
 ])
 def test_evaluate_rejects_bad_csv_rows(tmp_path, capsys, which, body, message):
     paths = {"detections": tmp_path / "det.csv", "ground_truth": tmp_path / "gt.csv"}
     codec.write_detections_csv(paths["detections"], [])
     codec.write_ground_truth_csv(paths["ground_truth"], [(1.0, 1.0)])
-    paths[which].write_text(body)
+    paths[which].write_bytes(body if isinstance(body, bytes) else body.encode())
     rc = main([
         "evaluate", "--detections", str(paths["detections"]),
         "--ground-truth", str(paths["ground_truth"]), "--out", str(tmp_path / "r.json"),

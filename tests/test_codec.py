@@ -198,15 +198,22 @@ def test_detections_csv_roundtrip(tmp_path):
     ]
     codec.write_detections_csv(path, dets)
     assert path.read_text().splitlines()[0] == "row,col,pseudo_likelihood"
-    assert codec.read_detections_csv(path).tolist() == [list(d) for d in dets]
-
-
-def test_detections_csv_header_alone_is_empty_table(tmp_path):
-    path = tmp_path / "det.csv"
-    codec.write_detections_csv(path, np.empty((0, 3)))
-    assert path.read_bytes() == b"row,col,pseudo_likelihood\r\n"
     back = codec.read_detections_csv(path)
-    assert back.shape == (0, 3) and back.dtype == np.float64
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.tolist() == [list(d) for d in dets]
+
+
+@pytest.mark.parametrize("table, header", [
+    pytest.param("detections", b"row,col,pseudo_likelihood", id="detections"),
+    pytest.param("ground_truth", b"row,col", id="ground_truth"),
+])
+def test_detections_csv_header_alone_is_empty_table(tmp_path, table, header):
+    path = tmp_path / "table.csv"
+    width = header.count(b",") + 1
+    getattr(codec, f"write_{table}_csv")(path, np.empty((0, width)))
+    assert path.read_bytes() == header + b"\r\n"
+    back = getattr(codec, f"read_{table}_csv")(path)
+    assert back.shape == (0, width) and back.dtype == np.float64
 
 
 def test_detection_is_its_csv_row(tmp_path):
@@ -227,15 +234,17 @@ def test_ground_truth_csv_roundtrip(tmp_path):
     gt = [(1.0, 2.0), (3.5, 4.25)]
     codec.write_ground_truth_csv(path, gt)
     assert path.read_text().splitlines()[0] == "row,col"
-    assert codec.read_ground_truth_csv(path) == gt
+    back = codec.read_ground_truth_csv(path)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.tolist() == [list(p) for p in gt]
 
 
 def test_write_table_is_bit_exact(tmp_path):
     rng = np.random.default_rng(61)
     points = rng.standard_normal((100, 2)) * 10.0 ** rng.integers(-300, 300, (100, 2))
     path = tmp_path / "gt.csv"
-    codec.write_ground_truth_csv(path, points)  # rows of numpy float64 scalars
-    assert codec.read_ground_truth_csv(path) == [tuple(p) for p in points.tolist()]
+    codec.write_ground_truth_csv(path, points)
+    assert codec.read_ground_truth_csv(path).tobytes() == points.tobytes()
     codec.write_table(path, codec.TRACE_HEADER, [1, 0.1, np.int64(2), np.float64(1e-300)])
     assert path.read_bytes() == b"iteration,objective\r\n1,0.1\r\n2,1e-300\r\n"
 

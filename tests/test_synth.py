@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spotdeconv import synth
 from spotdeconv.kernels import build_kernel_bank, make_scale_grid
-from spotdeconv.synth import SceneSpec, generate_scene, render_observation
+from spotdeconv.synth import SceneSpec, add_noise, generate_scene
 from spotdeconv.convolution import forward
 
 
@@ -21,14 +21,15 @@ def _spec(**kw):
 def test_zero_sources():
     a, gt = generate_scene(_spec(n_sources=0))
     assert np.all(a == 0)
-    assert gt == []
+    assert gt.shape == (0, 2) and gt.dtype == np.float64
 
 
 def test_deterministic_for_fixed_seed():
     a1, gt1 = generate_scene(_spec())
     a2, gt2 = generate_scene(_spec())
     assert a1.tobytes() == a2.tobytes()
-    assert gt1 == gt2
+    assert gt1.shape == (5, 2) and gt1.dtype == np.float64 and gt1.flags.c_contiguous
+    assert gt1.tobytes() == gt2.tobytes()
 
 
 def test_pairwise_separation():
@@ -96,7 +97,7 @@ def _scalar_placement_scene(spec):
     for r, c in positions:
         amplitude = rng.uniform(spec.amplitude_lo, spec.amplitude_hi)
         a_true[r, c, int(rng.integers(0, spec.depth))] += amplitude
-    return a_true, [(float(r), float(c)) for r, c in positions]
+    return a_true, [[float(r), float(c)] for r, c in positions]
 
 
 @pytest.mark.parametrize("rows, cols, n_sources, min_separation", [
@@ -114,7 +115,7 @@ def test_placement_matches_scalar_loop(rows, cols, n_sources, min_separation, se
     a, gt = generate_scene(spec)
     want_a, want_gt = _scalar_placement_scene(spec)
     assert a.tobytes() == want_a.tobytes()
-    assert gt == want_gt
+    assert gt.tolist() == want_gt
 
 
 def test_infeasible_placement_matches_scalar_loop():
@@ -160,7 +161,7 @@ def test_placement_matches_scalar_loop_on_random_specs(rows, cols, n_sources, mi
         return
     a, gt = generate_scene(spec)
     assert a.tobytes() == want_a.tobytes()
-    assert gt == want_gt
+    assert gt.tolist() == want_gt
 
 
 def test_infeasible_placement_stops_when_no_room_is_left(monkeypatch):
@@ -189,13 +190,13 @@ def test_infeasible_placement_stops_when_no_room_is_left(monkeypatch):
 def test_render_noise_free():
     bank = build_kernel_bank(make_scale_grid(2.0, 3))
     a, _ = generate_scene(_spec())
-    d = render_observation(a, bank, 0.0, seed=1)
+    d = add_noise(forward(a, bank), 0.0, seed=1)
     np.testing.assert_array_equal(d, forward(a, bank))
 
 
 def test_render_zero_scene():
     bank = build_kernel_bank(make_scale_grid(2.0, 3))
-    d = render_observation(np.zeros((8, 8, 3)), bank, 0.0, seed=1)
+    d = add_noise(forward(np.zeros((8, 8, 3)), bank), 0.0, seed=1)
     assert np.all(d == 0)
 
 
@@ -203,7 +204,7 @@ def test_noise_mean_law_of_large_numbers():
     bank = build_kernel_bank(make_scale_grid(2.0, 1))
     a = np.zeros((100, 100, 1))
     sigma = 0.5
-    d = render_observation(a, bank, sigma, seed=99)
+    d = add_noise(forward(a, bank), sigma, seed=99)
     assert abs(np.mean(d)) <= 3 * sigma / 100
 
 
