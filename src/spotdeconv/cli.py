@@ -65,6 +65,17 @@ def _check_known(table, fields, prefix=""):
             raise ConfigError(f"config field {prefix + key!r} is not a known field")
 
 
+def _table(path, pairs):
+    """A JSON object's key-value pairs as a dict, refusing a key set twice
+    (json.load would keep its last value unseen)."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise ConfigError(f"config {path} sets {key!r} twice")
+        table[key] = value
+    return table
+
+
 def _number(table, key, default=None, *, scope="", integer=False):
     """table[key] (an object field `scope.key` or a list entry `scope[key]`) as a finite
     float, or int if `integer`; required if `default` is None. A failure raises a
@@ -91,7 +102,7 @@ def load_config(path):
     here, each bound in the library constructor that owns it, run here too."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=functools.partial(_table, path))
     except OSError as exc:
         raise ConfigError(f"config {path} cannot be read: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

@@ -27,11 +27,13 @@ of a C-order (K, M, N) array v, as the solver's volumes are; any other
 layout costs one gather.
 
 make_plan(bank, (M, N)) builds the bands, their blocks and the workspace
-views, which depend only on the bank and (M, N), once: a Plan of (band
-block, input, output) triples over its own K * M * N float64 workspace,
-Plan.workspace; no band state outlives it. Both operators take it as
-`plan`; without one, a call makes its own. The solver makes one Plan per
-solve, so a call only slices its input and fresh output and runs the GEMMs.
+views, which depend only on the bank and (M, N), once: a Plan holding each
+operator's two passes as (band block, input, output) triples over its own
+K * M * N float64 workspace, Plan.workspace; no band state outlives it.
+Both operators take it as `plan`; without one, a call makes its own. One
+loop, _run, runs either operator's passes, so a call only makes its input,
+slices it and a fresh output, and runs the GEMMs. The solver makes one Plan
+per solve.
 
 A band holds its taps in order, which makes it a correlation; convolution
 is correlation with the reversed taps, the exact transpose, so adjoint()
@@ -82,21 +84,22 @@ def _blocks(size, radius):
 
 class Plan(NamedTuple):
     """Every GEMM of forward() and adjoint() for one bank on one (M, N) image,
-    prebuilt over one workspace of K * M * N float64. Each GEMM is a triple
-    whose views are fixed; the index slices the array the call supplies."""
+    prebuilt over one workspace of K * M * N float64. Each operator is its two
+    passes and its output, (row GEMMs, column GEMMs, output shape, output axes),
+    and _run runs either: a row GEMM (band block, input index, workspace view)
+    writes the workspace, a column GEMM (band block, workspace view, index)
+    the output's view transpose(axes)[index]."""
 
     shape: tuple  # (K, M, N)
     workspace: np.ndarray  # K * M * N float64; each operator call overwrites it
-    forward_rows: tuple  # (band block, input index, workspace view) per row block
-    forward_cols: tuple  # (band block, workspace view, index into out.T) per column block
-    adjoint_rows: tuple  # (band block, input index, workspace view) per row block
-    adjoint_cols: tuple  # (band block, workspace view, index into out.transpose(0, 2, 1))
+    forward: tuple  # (row GEMMs, column GEMMs, (M, N), (1, 0))
+    adjoint: tuple  # (row GEMMs, column GEMMs, (K, M, N), (0, 2, 1))
 
 
 def make_plan(bank, shape):
-    """The Plan of `bank` on an image of `shape` (M, N), its views laid over
-    a fresh workspace. The operators overwrite it, so it must not hold their
-    input; its contents never reach their results."""
+    """The Plan of `bank` on an image of `shape` (M, N): both operators' two
+    passes, their views laid over a fresh workspace. The operators overwrite
+    it, so it must not hold their input; its contents never reach their results."""
     m, n = shape
     depth = bank.num_kernels
     radius, corr, conv, interleaved = _bands(bank, max(m, n))
@@ -109,15 +112,15 @@ def make_plan(bank, shape):
     return Plan(
         shape=(depth, m, n),
         workspace=workspace,
-        forward_rows=tuple((conv[:, :b, c0:c1], (slice(None), src), slices_done[:, rows])
-                           for rows, src, b, c0, c1 in row_blocks),
-        forward_cols=tuple((interleaved[:b, c0 * depth : c1 * depth],
-                            stacked[src.start * depth : src.stop * depth], cols)
-                           for cols, src, b, c0, c1 in col_blocks),
-        adjoint_rows=tuple((corr[:, :b, c0:c1], src, cols_first.transpose(0, 2, 1)[:, rows])
-                           for rows, src, b, c0, c1 in row_blocks),
-        adjoint_cols=tuple((corr[:, :b, c0:c1], cols_first[:, src], (slice(None), cols))
-                           for cols, src, b, c0, c1 in col_blocks),
+        forward=(tuple((conv[:, :b, c0:c1], (slice(None), src), slices_done[:, rows])
+                       for rows, src, b, c0, c1 in row_blocks),
+                 tuple((interleaved[:b, c0 * depth : c1 * depth],
+                        stacked[src.start * depth : src.stop * depth], cols)
+                       for cols, src, b, c0, c1 in col_blocks), (m, n), (1, 0)),
+        adjoint=(tuple((corr[:, :b, c0:c1], src, cols_first.transpose(0, 2, 1)[:, rows])
+                       for rows, src, b, c0, c1 in row_blocks),
+                 tuple((corr[:, :b, c0:c1], cols_first[:, src], (slice(None), cols))
+                       for cols, src, b, c0, c1 in col_blocks), (depth, m, n), (0, 2, 1)),
     )
 
 
@@ -132,28 +135,27 @@ def _plan_for(plan, bank, shape):
     return plan
 
 
+def _run(op, x):
+    """One operator of a Plan on its input x: the row GEMMs from x into the
+    workspace, then the column GEMMs from the workspace into a fresh output."""
+    rows, cols, shape, axes = op
+    for band, src, dst in rows:
+        np.matmul(band, x[src], out=dst)
+    out = np.empty(shape)
+    out_t = out.transpose(axes)  # per GEMM, this view cost 5-10 us a call at 64^2 (2 cores)
+    for band, src, idx in cols:
+        np.matmul(band, src, out=out_t[idx])
+    return out
+
+
 def forward(a, bank, *, plan=None):
     """Sum over k of slice-wise convolution: the observation operator."""
     plan = _plan_for(plan, bank, a.shape[2:] + a.shape[:2])
-    x = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64)
-    for band, src, dst in plan.forward_rows:
-        np.matmul(band, x[src], out=dst)
-    out = np.empty(plan.shape[1:])
-    out_t = out.T
-    for band, src, cols in plan.forward_cols:
-        np.matmul(band, src, out=out_t[cols])
-    return out
+    return _run(plan.forward, np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64))
 
 
 def adjoint(r, bank, *, plan=None):
     """Adjoint of forward(): slice k is the correlation of r with kernel k.
     Returns the (M, N, K) view of a fresh C-contiguous (K, M, N) array."""
-    x = np.ascontiguousarray(r, dtype=np.float64)
-    plan = _plan_for(plan, bank, (bank.num_kernels,) + x.shape)
-    for band, src, dst in plan.adjoint_rows:
-        np.matmul(band, x[src], out=dst)
-    out = np.empty(plan.shape)
-    out_t = out.transpose(0, 2, 1)
-    for band, src, cols in plan.adjoint_cols:
-        np.matmul(band, src, out=out_t[cols])
-    return out.transpose(1, 2, 0)
+    plan = _plan_for(plan, bank, (bank.num_kernels,) + np.shape(r))
+    return _run(plan.adjoint, np.ascontiguousarray(r, dtype=np.float64)).transpose(1, 2, 0)

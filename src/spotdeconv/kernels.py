@@ -72,10 +72,10 @@ def make_scale_grid(sigma_max_pixels, num_bins):
 
 
 def check_truncation(grid, truncation):
-    """The bank's rule for truncation: finite and > 0, and finite times every
-    sigma <= grid.sigma_max_pixels."""
+    """The bank's rule for truncation: finite and > 0, and, capped at ERF_REACH
+    as the bank's radius is, finite times every sigma <= grid.sigma_max_pixels."""
     require(0 < truncation < np.inf, "truncation", "finite and > 0", truncation)
-    require(float(truncation) * grid.sigma_max_pixels < np.inf, "truncation",
+    require(min(float(truncation), ERF_REACH) * grid.sigma_max_pixels < np.inf, "truncation",
             f"finite times sigma_max_pixels {grid.sigma_max_pixels!r}", truncation)
     return truncation
 

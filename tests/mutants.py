@@ -148,9 +148,13 @@ MUTANTS = [
     Mutant("src/spotdeconv/synth.py", "np.hypot(d + 1, d + 1) < sep", "np.hypot(d + 1, d + 1) <= sep",
            "tests/test_synth.py::test_packing_bound_admits_greedy_raster_placement",
            id="packing_bound_next_side_below_sep"),
-    Mutant("src/spotdeconv/kernels.py", "float(truncation) * grid.sigma_max_pixels < np.inf",
+    Mutant("src/spotdeconv/kernels.py",
+           "min(float(truncation), ERF_REACH) * grid.sigma_max_pixels < np.inf",
            "True", "tests/test_cli.py::test_pipeline_rejects_bad_config_value",
            id="tap_radius_finite"),
+    Mutant("src/spotdeconv/kernels.py", "min(float(truncation), ERF_REACH)", "float(truncation)",
+           "tests/test_cli.py::test_pipeline_files_do_not_grow_with_truncation",
+           id="tap_reach_not_truncation_finite"),
     Mutant("src/spotdeconv/solver.py", "np.square(wmax)", "wmax",
            "tests/test_solver.py::test_step_size_examples"),
     Mutant("src/spotdeconv/solver.py", "if w.shape != shape:", "if w.shape[0] != shape[0]:",
@@ -212,6 +216,8 @@ MUTANTS = [
            "except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:",
            "except (json.JSONDecodeError, UnicodeDecodeError) as exc:",
            "tests/test_cli.py::test_unloadable_config_exit_code", id="config_nested_too_deep"),
+    Mutant("src/spotdeconv/cli.py", "if key in table:", "if False:",
+           "tests/test_cli.py::test_unloadable_config_exit_code", id="config_repeated_key"),
 ]
 
 

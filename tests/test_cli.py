@@ -80,14 +80,22 @@ def test_load_config_bad_weights(tmp_path):
     ("json-array", "must be a JSON object"),
     ("non-utf8", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
     ("nested", "is not valid JSON: maximum recursion depth exceeded"),
+    ("repeated-key", "sets 'max_iters' twice"),
+    ("repeated-weights-key", "sets 'uniform' twice"),
+    ("repeated-scene-key", "sets 'n_sources' twice"),
 ])
 def test_unloadable_config_exit_code(tmp_path, capsys, case, problem):
     # load_config refuses a config file it cannot read or parse with one line
-    # naming the file, before the pipeline makes its out-dir: not UTF-8 text
-    # and JSON nested too deep for the decoder included.
+    # naming the file, before the pipeline makes its out-dir: not UTF-8 text,
+    # JSON nested too deep for the decoder and a key set twice in one object
+    # (each value valid, so json.load alone would run on the last) included.
     path = tmp_path / "cfg.json"
     if case == "directory":
         path.mkdir()
+    elif case.startswith("repeated"):
+        key = problem.split("'")[1]
+        text = Path(_write_config(tmp_path)).read_text()
+        path.write_text(text.replace(f'"{key}": ', f'"{key}": 1, "{key}": ', 1))
     elif case != "missing":
         path.write_bytes({"invalid-json": b'{"K": 2,', "json-array": b"[]",
                           "non-utf8": b'{"K": \xff}', "nested": b"[" * 100_000}[case])
@@ -168,12 +176,12 @@ NAN, INF = float("nan"), float("inf")
                  "10.0, got 10\n",
                  id="scene-value24-'scene.n_sources' must be <= 1, one per 4x4 pixel block "
                     "at min_separation 10.0, got 10\n"),
-    # The widest bin's tap radius, truncation * sigma, would overflow float64.
+    # The widest bin's tap reach, min(truncation, ERF_REACH) * sigma, would
+    # overflow float64.
     pytest.param("sigma_max", 1e308,
                  "'truncation' must be finite times sigma_max_pixels 1e+308, got 4.0\n",
                  id="sigma_max-1e+308-'truncation' must be finite times sigma_max_pixels "
                     "1e+308, got 4.0\n"),
-    pytest.param("truncation", 1.7e308, "'truncation'", id="truncation-1.7e+308-'truncation'"),
 ])
 def test_pipeline_rejects_bad_config_value(tmp_path, capsys, dotted, value, named):
     path = Path(_write_config(tmp_path))
@@ -361,21 +369,25 @@ sys.exit(main(sys.argv[1:]))
 
 def test_pipeline_files_do_not_grow_with_truncation(tmp_path):
     # Every tap past ERF_REACH sigmas is 0.0, so a truncation of 1e9 or 1e308
-    # writes the files of truncation 8.5, in that run's time and memory. Each
-    # run is a child process held to 1 GiB of address space, on one BLAS
-    # thread so that the BLAS buffers fit too.
+    # writes the files of truncation 8.5, in that run's time and memory, at
+    # any sigma_max: truncation * sigma_max may overflow, the reach the bank
+    # uses does not. Each run is a child process held to 1 GiB of address
+    # space, on one BLAS thread so that the BLAS buffers fit too.
     files = {}
-    for truncation in (8.5, 1e9, 1e308):
-        path, out = tmp_path / f"{truncation}.json", tmp_path / f"out_{truncation}"
-        path.write_text(json.dumps(dict(FUZZ_CONFIG, truncation=truncation)))
+    for sigma_max, truncation in [(1.5, 8.5), (1.5, 1e9), (1.5, 1.7e308), (3.0, 8.5),
+                                  (3.0, 1e308)]:
+        name = f"{sigma_max}_{truncation}"
+        path, out = tmp_path / f"{name}.json", tmp_path / f"out_{name}"
+        path.write_text(json.dumps(dict(FUZZ_CONFIG, sigma_max=sigma_max, truncation=truncation)))
         run = subprocess.run(
             [sys.executable, "-c", _MAIN_UNDER_1_GIB, "pipeline", "--config", str(path),
              "--out-dir", str(out)],
             env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60)
         assert (run.returncode, run.stderr) == (0, "")
-        files[truncation] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(files[8.5]) == sorted(cli.SCENE_FILES + cli.RUN_FILES)
-    assert files[1e9] == files[8.5] and files[1e308] == files[8.5]
+        files[sigma_max, truncation] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[1.5, 8.5]) == sorted(cli.SCENE_FILES + cli.RUN_FILES)
+    assert files[1.5, 1e9] == files[1.5, 8.5] and files[1.5, 1.7e308] == files[1.5, 8.5]
+    assert files[3.0, 1e308] == files[3.0, 8.5] != files[1.5, 8.5]
 
 
 @pytest.mark.parametrize("overrides, px", [
@@ -1152,16 +1164,18 @@ def test_solve_detect_contract_under_random_files(tmp_path, capsys, obs, volume,
 
 
 @pytest.mark.parametrize("which, body, message", [
-    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5\n3.0,4.0\n",
-     "line 3: expected 3 fields, got 2"),
-    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,nan\n",
-     "line 2: non-finite value"),
-    ("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5,7\n",
-     "line 2: expected 3 fields, got 4"),
-    ("detections", "row,col,pseudo_likelihood\n1.0,x,0.5\n",
-     "line 2: non-numeric value"),
-    ("ground_truth", "row,col\n1.0,2.0\ninf,2.0\n", "line 3: non-finite value"),
-    ("ground_truth", "row,col\n1.0\n", "line 2: expected 2 fields, got 1"),
+    pytest.param("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5\n3.0,4.0\n",
+                 "line 3: expected 3 fields, got 2", id="detections-short-row"),
+    pytest.param("detections", "row,col,pseudo_likelihood\n1.0,2.0,nan\n",
+                 "line 2: non-finite value", id="detections-nan"),
+    pytest.param("detections", "row,col,pseudo_likelihood\n1.0,2.0,0.5,7\n",
+                 "line 2: expected 3 fields, got 4", id="detections-long-row"),
+    pytest.param("detections", "row,col,pseudo_likelihood\n1.0,x,0.5\n",
+                 "line 2: non-numeric value", id="detections-non-numeric"),
+    pytest.param("ground_truth", "row,col\n1.0,2.0\ninf,2.0\n", "line 3: non-finite value",
+                 id="ground_truth-inf"),
+    pytest.param("ground_truth", "row,col\n1.0\n", "line 2: expected 2 fields, got 1",
+                 id="ground_truth-short-row"),
     # A stray quote makes the rest of the file one field, past the csv module's
     # limit: the line is where that record starts, not where the limit was hit.
     pytest.param("detections",
